@@ -18,7 +18,6 @@ from .channel import (
     channel_to_json,
     channel_translate,
     gain_scan,
-    make_channel,
 )
 from .errors import (
     AccuracyError,
@@ -54,15 +53,7 @@ from .signals import (
     jump_of_signal,
     spectral_signal,
 )
-from .spacetime import (
-    ComplexEvent,
-    ConeStatus,
-    ConeVector,
-    RealEvent,
-    Tube,
-    cone_status,
-    tube_difference,
-)
-from .wavelet import WaveletField, boundary_jump, wave_residual, wavelet_eval
+from .spacetime import ConeStatus, ConeVector, RealEvent, cone_status
+from .wavelet import boundary_jump, wave_residual, wavelet_eval
 
 __version__ = "0.1.0"

@@ -4,14 +4,17 @@ A link is a pair of endpoints: an emitter centered at the event x_e with
 extension y_e (future-tube parameterization x_e + i y_e) and a receiver
 centered at x_r with extension y_r (past-tube parameterization
 x_r - i y_r).  The transmission amplitude is the beam wavelet evaluated
-at the difference, which depends only on
+at the tube difference (x_r - i y_r) - (x_e + i y_e), which stays in the
+past tube and depends only on
 
-    x = x_r - x_e    and    y = y_e + y_r,
+    x = x_r - x_e    and    y = y_e + y_r.
 
-so shifting both centers by a common real 4-vector, or moving extension
-between the endpoints (y_e + eta, y_r - eta), produces an equivalent
-link with identical amplitude.  The summed extension must be interior;
-each endpoint may individually be an idealized point (null extension).
+Channel is the only link type: its separation and combined_extent are
+exactly this tube difference.  Shifting both centers by a common real
+4-vector, or moving extension between the endpoints (y_e + eta,
+y_r - eta), produces an equivalent link with identical amplitude.  The
+summed extension must be interior; each endpoint may individually be an
+idealized point (null extension).
 
 Durations and bandwidths: each endpoint can handle pulses no shorter
 than lag - radius, and the link as a whole no shorter than s - a, which
@@ -28,6 +31,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from .errors import CausalityError, ConeViolationError, ValidationError
+from .propagator import _EIGHT_PI_SQ
 from .signals import DEFAULT_REL_TOL, DrivingSignal
 from .spacetime import (
     ConeStatus,
@@ -38,12 +42,14 @@ from .spacetime import (
 )
 from .wavelet import wavelet_eval
 
-_EIGHT_PI_SQ = 8.0 * math.pi * math.pi
-
 
 @dataclass(frozen=True)
 class Channel:
-    """An emitter endpoint and a receiver endpoint forming one transmission link."""
+    """An emitter endpoint and a receiver endpoint forming one transmission link.
+
+    Either endpoint may be an idealized point (null extent); their summed
+    extent must be interior, otherwise CausalityError is raised.
+    """
 
     emitter_center: RealEvent
     emitter_extent: ConeVector
@@ -75,16 +81,6 @@ class Channel:
         return self.combined_extent.radius
 
 
-def make_channel(
-    emitter_center: RealEvent,
-    emitter_extent: ConeVector,
-    receiver_center: RealEvent,
-    receiver_extent: ConeVector,
-) -> Channel:
-    """Validated link; endpoints may be interior or null, their sum must be interior."""
-    return Channel(emitter_center, emitter_extent, receiver_center, receiver_extent)
-
-
 def channel_amplitude(
     ch: Channel, signal: DrivingSignal, rel_tol: float = DEFAULT_REL_TOL
 ) -> complex:
@@ -97,7 +93,10 @@ def channel_amplitude(
 
 
 def _vec4(values: Sequence[float], what: str) -> Tuple[float, ...]:
-    vals = tuple(float(v) for v in values)
+    try:
+        vals = tuple(float(v) for v in values)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{what} must be 4 numbers, got {values!r}") from None
     if len(vals) != 4:
         raise ValidationError(f"{what} must have 4 components, got {len(vals)}")
     if not all(math.isfinite(v) for v in vals):

@@ -10,12 +10,20 @@ Subcommands:
     verify      run the acceptance checks and print a pass/fail table
 
 Configuration is a JSON file; command-line flags override config fields
-(precedence: flag > config > default).  CSV files are written atomically
-(temp file + rename) with a header row, shortest round-trip float
-formatting, '.' decimal separator, and Unix newlines.  Row order is
-row-major over the grid axes in declaration order (x1, x2, x3, t) and is
-identical for any thread count.  Guarded singular points are emitted
-with empty value cells and a status flag instead of NaNs.
+(precedence: flag > config > default).  Every numeric field is checked
+on the way in: a non-numeric, non-finite or (where an integer is due)
+fractional or boolean value is a validation error naming the field, and
+the grid and theta sample counts are checked against `max_points` before
+any sample is built.  CSV files are written atomically (temp file +
+rename) with a header row, shortest round-trip float formatting, '.'
+decimal separator, and Unix newlines.  Row order is row-major over the
+grid axes in declaration order (x1, x2, x3, t).  Guarded singular points
+are emitted with empty value cells and a status flag instead of NaNs.
+
+Rows are evaluated serially.  `--threads`, the config field `threads` and
+the PULSEBEAM_THREADS environment variable are still accepted and
+validated (an integer >= 1), for compatibility; they do not change the
+output or the evaluation.
 
 Exit codes: 0 success, 1 validation error, 2 accuracy error, 3 I/O error.
 """
@@ -29,7 +37,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
@@ -43,10 +50,10 @@ from .channel import (
 )
 from .errors import AccuracyError, PulsebeamError, SingularityProximityError, ValidationError
 from .geometry import complex_distance
-from .propagator import beam_profile, extended_propagator
-from .signals import DeltaDerivative, DrivingSignal, GaussianPulse, SampledSignal
-from .spacetime import ConeVector, RealEvent, norm3
-from .wavelet import wavelet_eval
+from .propagator import _impulse_field, beam_profile
+from .signals import DEFAULT_REL_TOL, DeltaDerivative, DrivingSignal, GaussianPulse, SampledSignal
+from .spacetime import ConeVector, norm3
+from .wavelet import _field, _radial_distance
 
 GRID_AXES = ("x1", "x2", "x3", "t")
 DEFAULT_POINT_CAP = 10**8
@@ -64,50 +71,67 @@ class GridSpec:
 
     axes: Tuple[Tuple[str, Tuple[float, ...]], ...]
 
-    @property
-    def total_points(self) -> int:
-        total = 1
-        for _, values in self.axes:
-            total *= len(values)
-        return total
-
     def iter_points(self):
         names = [name for name, _ in self.axes]
         for combo in itertools.product(*(values for _, values in self.axes)):
             yield dict(zip(names, combo))
 
 
-def _axis_values(name: str, spec) -> Tuple[float, ...]:
+def _number(value, field: str, integer: bool = False):
+    """The config value at `field` as a finite float, or as an int when integer=True.
+
+    The numeric config fields pass through here, so a malformed value is a
+    ValidationError naming its field, never a raw conversion error.
+    """
+    number = math.nan
+    if not isinstance(value, bool):
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    if integer and number.is_integer():
+        return int(number)
+    if not integer and math.isfinite(number):
+        return number
+    kind = "an integer" if integer else "a finite number"
+    raise ValidationError(f"'{field}' must be {kind}, got {value!r}")
+
+
+def _axis(name: str, spec) -> Tuple[int, Callable[[], Tuple[float, ...]]]:
+    """Validated sample axis at config path `name`: its count, and a function building it.
+
+    The count is known before anything is allocated, so callers can check
+    the point cap first.
+    """
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        value = float(spec)
-        if not math.isfinite(value):
-            raise ValidationError(f"grid axis '{name}' must be finite, got {value}")
-        return (value,)
+        value = _number(spec, name)
+        return 1, lambda: (value,)
     if isinstance(spec, dict):
         extra = set(spec) - {"min", "max", "count"}
         if extra:
-            raise ValidationError(f"grid axis '{name}' has unknown fields {sorted(extra)}")
-        try:
-            lo = float(spec["min"])
-            hi = float(spec["max"])
-            count = int(spec["count"])
-        except (KeyError, TypeError, ValueError):
-            raise ValidationError(
-                f"grid axis '{name}' must give numeric 'min', 'max' and integer 'count'"
-            ) from None
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValidationError(f"grid axis '{name}' bounds must be finite")
+            raise ValidationError(f"'{name}' has unknown fields {sorted(extra)}")
+        lo = _number(spec.get("min"), f"{name}.min")
+        hi = _number(spec.get("max"), f"{name}.max")
+        count = _number(spec.get("count"), f"{name}.count", integer=True)
         if count < 1:
-            raise ValidationError(f"grid axis '{name}' count must be >= 1, got {count}")
+            raise ValidationError(f"'{name}.count' must be >= 1, got {count}")
         if lo > hi:
-            raise ValidationError(f"grid axis '{name}' needs min <= max, got {lo} > {hi}")
-        return tuple(float(v) for v in np.linspace(lo, hi, count))
-    raise ValidationError(
-        f"grid axis '{name}' must be a number (fixed) or an object with min/max/count"
-    )
+            raise ValidationError(f"'{name}' needs min <= max, got {lo} > {hi}")
+        return count, lambda: tuple(float(v) for v in np.linspace(lo, hi, count))
+    raise ValidationError(f"'{name}' must be a number (fixed) or an object with min/max/count")
 
 
-def grid_from_config(config: dict, names: Sequence[str], cap: int) -> GridSpec:
+def _check_cap(config: dict, total: int, what: str) -> None:
+    """Refuse more than max_points samples; callers check before building any."""
+    cap = _number(config.get("max_points", DEFAULT_POINT_CAP), "max_points", integer=True)
+    if total > cap:
+        raise ValidationError(
+            f"{what} has {total} points, exceeding the cap of {cap}; "
+            "refusing before any computation"
+        )
+
+
+def grid_from_config(config: dict, names: Sequence[str]) -> GridSpec:
     grid_cfg = config.get("grid", {})
     if not isinstance(grid_cfg, dict):
         raise ValidationError("'grid' must be an object mapping axis names to specs")
@@ -116,14 +140,9 @@ def grid_from_config(config: dict, names: Sequence[str], cap: int) -> GridSpec:
         raise ValidationError(
             f"grid axes {sorted(unknown)} are not available here; allowed: {list(names)}"
         )
-    axes = tuple((name, _axis_values(name, grid_cfg.get(name, 0.0))) for name in names)
-    spec = GridSpec(axes)
-    if spec.total_points > cap:
-        raise ValidationError(
-            f"grid has {spec.total_points} points, exceeding the cap of {cap}; "
-            "refusing before any computation"
-        )
-    return spec
+    axes = [(name, *_axis(f"grid.{name}", grid_cfg.get(name, 0.0))) for name in names]
+    _check_cap(config, math.prod(count for _, count, _ in axes), "grid")
+    return GridSpec(tuple((name, build()) for name, _, build in axes))
 
 
 def signal_from_config(obj) -> DrivingSignal:
@@ -131,17 +150,19 @@ def signal_from_config(obj) -> DrivingSignal:
         raise ValidationError("'signal' must be an object with a 'type' field")
     kind = obj["type"]
     if kind == "delta":
-        return DeltaDerivative(int(obj.get("order", 0)))
+        return DeltaDerivative(_number(obj.get("order", 0), "signal.order", integer=True))
     if kind == "gaussian":
         return GaussianPulse(
-            center=float(obj.get("center", 0.0)),
-            width=float(obj.get("width", 1.0)),
-            amplitude=float(obj.get("amplitude", 1.0)),
+            center=_number(obj.get("center", 0.0), "signal.center"),
+            width=_number(obj.get("width", 1.0), "signal.width"),
+            amplitude=_number(obj.get("amplitude", 1.0), "signal.amplitude"),
         )
     if kind == "sampled":
         if "path" in obj:
             return SampledSignal.from_csv(obj["path"])
         if "times" in obj and "values" in obj:
+            if not (isinstance(obj["times"], list) and isinstance(obj["values"], list)):
+                raise ValidationError("sampled signal 'times' and 'values' must be arrays")
             return SampledSignal(tuple(obj["times"]), tuple(obj["values"]))
         raise ValidationError("sampled signal needs either 'path' or 'times'+'values'")
     raise ValidationError(f"unknown signal type {kind!r}; use delta, gaussian, or sampled")
@@ -153,7 +174,8 @@ def extent_from_config(config: dict) -> ConeVector:
     ext = config["extent"]
     if not isinstance(ext, (list, tuple)) or len(ext) != 4:
         raise ValidationError("'extent' must be a 4-element array [y1, y2, y3, s]")
-    return ConeVector(tuple(float(v) for v in ext[:3]), float(ext[3]))
+    y1, y2, y3, lag = (_number(v, f"extent[{i}]") for i, v in enumerate(ext))
+    return ConeVector((y1, y2, y3), lag)
 
 
 # ---------------------------------------------------------------------------
@@ -184,25 +206,22 @@ def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[str]]) -
         raise
 
 
-def _map_rows(render: Callable, points, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(render, points, chunksize=64))
-    return [render(point) for point in points]
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
 
-def _run_distance(config: dict, out: str, threads: int) -> None:
+def _near_circle_tol(config: dict):
+    tol = config.get("near_circle_tol")
+    return None if tol is None else _number(tol, "near_circle_tol")
+
+
+def _run_distance(config: dict, out: str) -> None:
     extent = extent_from_config(config)
     if extent.radius == 0.0:
         raise ValidationError("distance maps need a nonzero spatial extension")
-    cap = int(config.get("max_points", DEFAULT_POINT_CAP))
-    grid = grid_from_config(config, ("x1", "x2", "x3"), cap)
-    tol = config.get("near_circle_tol")
+    grid = grid_from_config(config, ("x1", "x2", "x3"))
+    tol = _near_circle_tol(config)
     y = extent.space
 
     def render(point):
@@ -223,65 +242,59 @@ def _run_distance(config: dict, out: str, threads: int) -> None:
             status,
         )
 
-    rows = _map_rows(render, list(grid.iter_points()), threads)
+    rows = [render(point) for point in grid.iter_points()]
     write_csv(out, ("x1", "x2", "x3", "p", "q", "status"), rows)
 
 
-def _field_rows(config: dict, threads: int, evaluate: Callable):
-    cap = int(config.get("max_points", DEFAULT_POINT_CAP))
-    grid = grid_from_config(config, GRID_AXES, cap)
+def _write_field(config: dict, out: str, distance: Callable, value: Callable) -> None:
+    """Grid map of a field: one distance per point feeds both the value and the status."""
+    grid = grid_from_config(config, GRID_AXES)
 
     def render(point):
-        space = (point["x1"], point["x2"], point["x3"])
         prefix = tuple(format_float(point[name]) for name in GRID_AXES)
+        dist = distance((point["x1"], point["x2"], point["x3"]))
         try:
-            value, on_cut = evaluate(space, point["t"])
+            field = value(dist, point["t"])
         except SingularityProximityError:
             return prefix + ("", "", "", "singular")
-        status = "on_cut" if on_cut else "ok"
         return prefix + (
-            format_float(value.real),
-            format_float(value.imag),
-            format_float(abs(value)),
-            status,
+            format_float(field.real),
+            format_float(field.imag),
+            format_float(abs(field)),
+            "on_cut" if dist.on_cut else "ok",
         )
 
-    return _map_rows(render, list(grid.iter_points()), threads)
+    rows = [render(point) for point in grid.iter_points()]
+    write_csv(out, GRID_AXES + ("re", "im", "abs", "status"), rows)
 
 
-def _run_propagator(config: dict, out: str, threads: int) -> None:
+def _run_propagator(config: dict, out: str) -> None:
     extent = extent_from_config(config)
     if not extent.is_interior or extent.radius == 0.0:
         raise ValidationError(
             "propagator maps need an interior extension with nonzero spatial part"
         )
-    tol = config.get("near_circle_tol")
-
-    def evaluate(space, t):
-        dist = complex_distance(space, extent.space, near_circle_tol=tol)
-        value = extended_propagator(space, extent.space, t, extent.time, near_circle_tol=tol)
-        return value, dist.on_cut
-
-    rows = _field_rows(config, threads, evaluate)
-    write_csv(out, GRID_AXES + ("re", "im", "abs", "status"), rows)
+    tol = _near_circle_tol(config)
+    _write_field(
+        config,
+        out,
+        lambda space: complex_distance(space, extent.space, near_circle_tol=tol),
+        lambda dist, t: _impulse_field(dist, t, extent.time),
+    )
 
 
-def _run_wavelet(config: dict, out: str, threads: int) -> None:
+def _run_wavelet(config: dict, out: str) -> None:
     extent = extent_from_config(config)
     if not extent.is_interior:
         raise ValidationError("wavelet maps need an interior extension")
     signal = signal_from_config(config.get("signal", {"type": "delta"}))
-    tol = config.get("near_circle_tol")
-
-    def evaluate(space, t):
-        on_cut = False
-        if extent.radius > 0.0:
-            on_cut = complex_distance(space, extent.space, near_circle_tol=tol).on_cut
-        value = wavelet_eval(signal, RealEvent(space, t), extent, near_circle_tol=tol)
-        return value, on_cut
-
-    rows = _field_rows(config, threads, evaluate)
-    write_csv(out, GRID_AXES + ("re", "im", "abs", "status"), rows)
+    tol = _near_circle_tol(config)
+    _write_field(
+        config,
+        out,
+        lambda space: _radial_distance(space, extent.space, tol),
+        lambda dist, t: _field(signal, dist, t, extent.time, DEFAULT_REL_TOL),
+    )
 
 
 def _theta_values(config: dict, default_min: float, default_max: float, default_count: int):
@@ -293,15 +306,17 @@ def _theta_values(config: dict, default_min: float, default_max: float, default_
         "max": theta_cfg.get("max", default_max),
         "count": theta_cfg.get("count", default_count),
     }
-    return _axis_values("theta", spec)
+    count, build = _axis("theta", spec)
+    _check_cap(config, count, "theta")
+    return build()
 
 
-def _run_pattern(config: dict, out: str, threads: int) -> None:
+def _run_pattern(config: dict, out: str) -> None:
     for key in ("s", "a", "r"):
         if key not in config:
             raise ValidationError(f"pattern config is missing '{key}'")
     thetas = _theta_values(config, 0.0, math.pi, 181)
-    profile = beam_profile(float(config["s"]), float(config["a"]), float(config["r"]), thetas)
+    profile = beam_profile(*(_number(config[key], key) for key in ("s", "a", "r")), thetas)
     rows = [
         (format_float(th), format_float(d), format_float(f), format_float(pk))
         for th, d, f, pk in zip(profile.theta, profile.duration, profile.pattern, profile.peak)
@@ -309,7 +324,7 @@ def _run_pattern(config: dict, out: str, threads: int) -> None:
     write_csv(out, ("theta", "duration", "pattern", "peak"), rows)
 
 
-def _run_channel(config: dict, out: str, threads: int) -> None:
+def _run_channel(config: dict, out: str) -> None:
     if "channel" not in config:
         raise ValidationError("channel config is missing the 'channel' object")
     ch = channel_from_json(config["channel"])
@@ -392,7 +407,13 @@ def _load_config(path) -> dict:
     return config
 
 
-def _resolve_threads(flag_value, config: dict) -> int:
+def _check_threads(flag_value, config: dict) -> None:
+    """Validate the thread count (flag > config > environment > 1).
+
+    Rows are evaluated serially, so the count changes nothing; it is
+    still checked because the flag, the field and the variable are part
+    of the command-line contract.
+    """
     if flag_value is not None:
         threads = flag_value
     elif "threads" in config:
@@ -401,13 +422,8 @@ def _resolve_threads(flag_value, config: dict) -> int:
         threads = os.environ[THREADS_ENV_VAR]
     else:
         threads = 1
-    try:
-        threads = int(threads)
-    except (TypeError, ValueError):
-        raise ValidationError(f"thread count must be an integer, got {threads!r}") from None
-    if threads < 1:
+    if _number(threads, "threads", integer=True) < 1:
         raise ValidationError(f"thread count must be >= 1, got {threads}")
-    return threads
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -426,7 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="JSON configuration file")
         cmd.add_argument("--out", help="output CSV path (overrides config 'out')")
-        cmd.add_argument("--threads", type=int, help="worker threads for grid sampling")
+        cmd.add_argument(
+            "--threads", type=int, help="accepted for compatibility; rows are evaluated serially"
+        )
     verify = sub.add_parser("verify")
     verify.add_argument("--config", help="optional JSON configuration file")
     verify.add_argument("--only", help="comma-separated list of check ids to run")
@@ -452,8 +470,8 @@ def main(argv=None) -> int:
         out = args.out or config.get("out")
         if not out:
             raise ValidationError("no output path: pass --out or set 'out' in the config")
-        threads = _resolve_threads(args.threads, config)
-        _RUNNERS[args.command](config, str(out), threads)
+        _check_threads(args.threads, config)
+        _RUNNERS[args.command](config, str(out))
         return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -173,9 +173,8 @@ def branch_classify(x: Sequence[float], y: Sequence[float], tol: float) -> Branc
     dist = complex_distance(x, y)
     if dist.magnitude < tol or dist.magnitude == 0.0:
         return BranchRegion.ON_CIRCLE
-    if abs(x3) < tol and r < a:
-        return BranchRegion.ON_CUT
-    if x3 == 0.0 and r < a:
+    # x3 == 0.0 keeps the cut itself classified when tol is 0
+    if (abs(x3) < tol or x3 == 0.0) and r < a:
         return BranchRegion.ON_CUT
     return BranchRegion.REGULAR
 

@@ -24,10 +24,28 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from .errors import CausalityError, SingularityProximityError, ValidationError
-from .geometry import complex_distance
+from .geometry import ComplexDistance, complex_distance
 from .spacetime import as_scalar, as_vec3, norm3
 
 _EIGHT_PI_SQ = 8.0 * math.pi * math.pi
+
+
+def _require_interior(s: float, a: float) -> None:
+    if s <= a:
+        raise CausalityError(
+            f"extension lag must exceed the extension radius (s > a), got s={s:g}, a={a:g}"
+        )
+
+
+def _impulse_field(dist: ComplexDistance, t: float, s: float) -> complex:
+    """1/(8 i pi^2 rt (tau - rt)) at rt = dist.value, tau = t - i s; the caller checks s > a."""
+    if dist.near_circle:
+        raise SingularityProximityError(
+            "evaluation point is within the guard distance of the branch circle"
+        )
+    rt = dist.value
+    tau = complex(t, -s)
+    return 1.0 / (8j * math.pi * math.pi * rt * (tau - rt))
 
 
 def extended_propagator(
@@ -46,18 +64,8 @@ def extended_propagator(
     t = as_scalar(t, "time")
     s = as_scalar(s, "extension lag")
     dist = complex_distance(x, y, near_circle_tol=near_circle_tol)
-    a = norm3(as_vec3(y, "extension vector"))
-    if s <= a:
-        raise CausalityError(
-            f"extension lag must exceed the extension radius (s > a), got s={s:g}, a={a:g}"
-        )
-    if dist.near_circle:
-        raise SingularityProximityError(
-            "evaluation point is within the guard distance of the branch circle"
-        )
-    rt = dist.value
-    tau = complex(t, -s)
-    return 1.0 / (8j * math.pi * math.pi * rt * (tau - rt))
+    _require_interior(s, norm3(as_vec3(y, "extension vector")))
+    return _impulse_field(dist, t, s)
 
 
 def far_zone_propagator(r: float, theta: float, t: float, s: float, a: float) -> complex:
@@ -71,10 +79,7 @@ def far_zone_propagator(r: float, theta: float, t: float, s: float, a: float) ->
         raise ValidationError(f"radius must be positive, got {r}")
     if a < 0.0:
         raise ValidationError(f"extension radius must be nonnegative, got {a}")
-    if s <= a:
-        raise CausalityError(
-            f"extension lag must exceed the extension radius (s > a), got s={s:g}, a={a:g}"
-        )
+    _require_interior(s, a)
     denominator = complex(t - r, -(s - a * math.cos(theta)))
     return 1.0 / (8j * math.pi * math.pi * r * denominator)
 
@@ -108,10 +113,7 @@ def beam_profile(s: float, a: float, r: float, theta_grid: Sequence[float]) -> B
         raise ValidationError(f"reference radius must be positive, got {r}")
     if a < 0.0:
         raise ValidationError(f"extension radius must be nonnegative, got {a}")
-    if s <= a:
-        raise CausalityError(
-            f"extension lag must exceed the extension radius (s > a), got s={s:g}, a={a:g}"
-        )
+    _require_interior(s, a)
     thetas = tuple(as_scalar(th, "polar angle") for th in theta_grid)
     durations = tuple(s - a * math.cos(th) for th in thetas)
     patterns = tuple(1.0 / (_EIGHT_PI_SQ * d) for d in durations)

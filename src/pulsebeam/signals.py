@@ -55,6 +55,9 @@ DEFAULT_REL_TOL = 1e-9
 # Geometric epsilon ladder (ratio 2) for boundary-jump extrapolations.
 DEFAULT_EPS_LADDER = (0.1, 0.05, 0.025, 0.0125, 0.00625, 0.003125)
 
+# Highest impulse-derivative order: n! overflows a float beyond it.
+MAX_DELTA_ORDER = 170
+
 _TWO_PI = 2.0 * math.pi
 
 
@@ -100,8 +103,12 @@ class DeltaDerivative(DrivingSignal):
     order: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.order, int) or self.order < 0:
-            raise ValidationError(f"impulse-derivative order must be an integer >= 0, got {self.order}")
+        is_int = isinstance(self.order, int) and not isinstance(self.order, bool)
+        if not (is_int and 0 <= self.order <= MAX_DELTA_ORDER):
+            raise ValidationError(
+                f"impulse-derivative order must be an integer in [0, {MAX_DELTA_ORDER}], "
+                f"got {self.order!r}"
+            )
 
     def amplitude_at(self, t: float) -> float:
         if float(t) == 0.0:

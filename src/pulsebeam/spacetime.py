@@ -1,4 +1,4 @@
-"""Real and complexified spacetime points and the future-cone constraint.
+"""Real spacetime events, extension vectors, and the future-cone constraint.
 
 Units: the propagation speed is 1, so all four components of an event or
 extension vector share one length unit.  Every type here is an immutable
@@ -13,13 +13,16 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, Tuple
 
-from .errors import CausalityError, ValidationError
+from .errors import ValidationError
 
 Vec3 = Tuple[float, float, float]
 
 
 def as_vec3(values: Sequence[float], what: str = "vector") -> Vec3:
-    vals = tuple(float(v) for v in values)
+    try:
+        vals = tuple(float(v) for v in values)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{what} must be 3 numbers, got {values!r}") from None
     if len(vals) != 3:
         raise ValidationError(f"{what} must have exactly 3 components, got {len(vals)}")
     if not all(math.isfinite(v) for v in vals):
@@ -28,7 +31,10 @@ def as_vec3(values: Sequence[float], what: str = "vector") -> Vec3:
 
 
 def as_scalar(value: float, what: str = "scalar") -> float:
-    value = float(value)
+    try:
+        value = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{what} must be a number, got {value!r}") from None
     if not math.isfinite(value):
         raise ValidationError(f"{what} must be finite, got {value}")
     return value
@@ -145,43 +151,3 @@ class ConeVector:
             self.time + other.time,
         )
 
-
-class Tube(Enum):
-    """Which complex half z = x + iy (future) or z = x - iy (past) a point lives in."""
-
-    FUTURE = "future"
-    PAST = "past"
-
-
-@dataclass(frozen=True)
-class ComplexEvent:
-    """A complexified spacetime point: a real event plus a cone-constrained imaginary part."""
-
-    real: RealEvent
-    imag: ConeVector
-    tube: Tube
-
-
-def tube_difference(receiver: ComplexEvent, emitter: ComplexEvent) -> ComplexEvent:
-    """Difference z = z_receiver - z_emitter of the two endpoint events.
-
-    The receiver is parameterized in the past tube (x - iy) and the emitter
-    in the future tube (x + iy), so the difference has real part
-    x_r - x_e and imaginary extension y_r + y_e, and stays in the past
-    tube.  The summed extension must be interior: two idealized point
-    endpoints cannot form an extended link.
-    """
-    if receiver.tube is not Tube.PAST:
-        raise ValidationError("receiver endpoint must be parameterized in the past tube")
-    if emitter.tube is not Tube.FUTURE:
-        raise ValidationError("emitter endpoint must be parameterized in the future tube")
-    total_space = tuple(a + b for a, b in zip(receiver.imag.space, emitter.imag.space))
-    total_time = receiver.imag.time + emitter.imag.time
-    if cone_status(total_space, total_time) is not ConeStatus.INTERIOR:
-        raise CausalityError(
-            "summed extension of emitter and receiver must be interior to the future "
-            "cone; two idealized point endpoints do not form an extended link"
-        )
-    return ComplexEvent(
-        receiver.real - emitter.real, ConeVector(total_space, total_time), Tube.PAST
-    )

@@ -25,11 +25,10 @@ from .channel import (
     channel_metrics,
     channel_translate,
     gain_scan,
-    make_channel,
 )
 from .errors import ValidationError
 from .geometry import complex_distance, spheroidal_coords
-from .propagator import beam_profile, extended_propagator, far_zone_propagator
+from .propagator import _EIGHT_PI_SQ, beam_profile, extended_propagator, far_zone_propagator
 from .signals import (
     DeltaDerivative,
     GaussianPulse,
@@ -37,10 +36,7 @@ from .signals import (
     spectral_signal,
 )
 from .spacetime import ConeVector, RealEvent, cone_status, ConeStatus, dot3, norm3
-from .wavelet import boundary_jump, wave_residual, wavelet_eval
-
-_EIGHT_PI_SQ = 8.0 * math.pi * math.pi
-_FOUR_PI = 4.0 * math.pi
+from .wavelet import _FOUR_PI, boundary_jump, wave_residual, wavelet_eval
 
 
 @dataclass(frozen=True)
@@ -295,7 +291,7 @@ def _random_channel(rng: np.random.Generator) -> Channel:
             tuple(float(c + separation * d) for c, d in zip(center, direction)),
             t_e + separation + float(rng.uniform(-0.3, 0.3)),
         )
-        ch = make_channel(emitter_center, emitter_extent, receiver_center, receiver_extent)
+        ch = Channel(emitter_center, emitter_extent, receiver_center, receiver_extent)
         combined = ch.combined_extent
         dist = complex_distance(ch.separation.space, combined.space)
         if dist.near_circle or dist.on_cut or dist.magnitude < 0.3:
@@ -366,7 +362,7 @@ def check_duration_triangle() -> CheckResult:
     worst_slack = math.inf
     chain_ok = True
     for _ in range(10_000):
-        ch = make_channel(
+        ch = Channel(
             origin,
             _random_interior_extent(rng, min_margin=0.05),
             apart,
@@ -388,7 +384,7 @@ def check_duration_triangle() -> CheckResult:
         direction = _unit_vectors(rng, 1)[0]
         a_e = float(rng.uniform(0.1, 1.5))
         a_r = float(rng.uniform(0.1, 1.5))
-        ch = make_channel(
+        ch = Channel(
             origin,
             ConeVector(tuple(a_e * c for c in direction), a_e + float(rng.uniform(0.1, 1.0))),
             apart,
@@ -556,6 +552,25 @@ def check_cli_determinism() -> CheckResult:
             "channel": channel_obj,
             "signal": {"type": "delta"},
             "theta": {"min": -math.pi, "max": math.pi, "count": 181},
+        },
+        # the grid subcommands, the ones that sample point by point; the
+        # propagator grid crosses the cut and the branch circle
+        "propagator": {
+            "extent": [0.0, 0.0, 1.0, 2.0],
+            "grid": {
+                "x1": {"min": -2.0, "max": 2.0, "count": 21},
+                "x3": {"min": -1.0, "max": 1.0, "count": 11},
+                "t": 1.5,
+            },
+        },
+        "wavelet": {
+            "extent": [0.2, 0.0, 0.8, 1.5],
+            "signal": {"type": "gaussian", "center": 0.0, "width": 1.0, "amplitude": 1.0},
+            "grid": {
+                "x1": {"min": -1.0, "max": 1.0, "count": 5},
+                "x3": {"min": 0.0, "max": 2.0, "count": 5},
+                "t": 2.0,
+            },
         },
     }
     detail = []

@@ -17,9 +17,7 @@ the retarded field g0(t - r) / (4 pi r) of an ideal point source.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
@@ -33,6 +31,7 @@ from .errors import (
 from .geometry import (
     NEAR_CIRCLE_REL_TOL,
     BranchRegion,
+    ComplexDistance,
     branch_classify,
     complex_distance,
     segment_crosses_cut,
@@ -45,40 +44,37 @@ from .signals import (
     richardson_limit,
     validate_eps_ladder,
 )
-from .spacetime import ConeVector, RealEvent, as_scalar, dot3, norm3
+from .spacetime import ConeVector, RealEvent, as_scalar, norm3
 
 _FOUR_PI = 4.0 * math.pi
 
 
-def _radial_root(x_space: Sequence[float], ext_space: Sequence[float]) -> complex:
-    """sqrt((x - i*ext).(x - i*ext)) on the branch with nonnegative real part.
+def _radial_distance(
+    x_space: Sequence[float], ext_space: Sequence[float], near_circle_tol: float | None = None
+) -> ComplexDistance:
+    """The radial coordinate rt of the field step, for an extension of any sign or size.
 
-    Unlike geometry.complex_distance this accepts a zero extension (purely
-    real distance) and sign-flipped, epsilon-scaled extensions, which the
-    boundary-jump ladder needs.  On the cut disk the value is the limit
-    from the positive side of the axis component.
+    A nonzero extension takes p - iq from complex_distance; a zero one
+    takes the Euclidean |x|, flagged near_circle at the spatial origin,
+    the only singular point left.
     """
-    r2 = dot3(x_space, x_space)
-    a2 = dot3(ext_space, ext_space)
-    cross = dot3(x_space, ext_space)
-    if a2 == 0.0:
-        return complex(math.sqrt(r2), 0.0)
-    if cross == 0.0 and r2 < a2:
-        return complex(0.0, -math.sqrt(a2 - r2))
-    return cmath.sqrt(complex(r2 - a2, -2.0 * cross))
+    if any(ext_space):
+        return complex_distance(x_space, ext_space, near_circle_tol=near_circle_tol)
+    r = norm3(x_space)
+    return ComplexDistance(r, 0.0, near_circle=r == 0.0)
 
 
-def _kernel(
-    signal: DrivingSignal,
-    x: RealEvent,
-    ext_space: Sequence[float],
-    ext_time: float,
-    rel_tol: float,
+def _field(
+    signal: DrivingSignal, dist: ComplexDistance, t: float, lag: float, rel_tol: float
 ) -> complex:
-    rt = _radial_root(x.space, ext_space)
-    if rt == 0:
-        raise SingularityProximityError("field evaluated on the branch circle")
-    tau = complex(x.time, -ext_time)
+    """g(tau - rt)/(4 pi rt) with rt = dist.value and tau = t - i lag."""
+    if dist.near_circle:
+        raise SingularityProximityError(
+            "evaluation point is within the guard distance of the field's singular set "
+            "(the branch circle, or the spatial origin for a purely temporal extension)"
+        )
+    rt = dist.value
+    tau = complex(t, -lag)
     return analytic_signal(signal, tau - rt, rel_tol=rel_tol) / (_FOUR_PI * rt)
 
 
@@ -98,38 +94,8 @@ def wavelet_eval(
     """
     if not y.is_interior:
         raise CausalityError("extension must be interior to the future cone (lag > radius)")
-    a = y.radius
-    if a > 0.0:
-        dist = complex_distance(x.space, y.space, near_circle_tol=near_circle_tol)
-        if dist.near_circle:
-            raise SingularityProximityError(
-                "evaluation point is within the guard distance of the branch circle"
-            )
-        rt = dist.value
-    else:
-        r = norm3(x.space)
-        if r == 0.0:
-            raise SingularityProximityError(
-                "a purely temporal extension leaves the field singular at the spatial origin"
-            )
-        rt = complex(r, 0.0)
-    tau = complex(x.time, -y.time)
-    return analytic_signal(signal, tau - rt, rel_tol=rel_tol) / (_FOUR_PI * rt)
-
-
-@dataclass(frozen=True)
-class WaveletField:
-    """A beam wavelet bound to one driving signal and one extension; callable on events."""
-
-    signal: DrivingSignal
-    extent: ConeVector
-
-    def __post_init__(self):
-        if not self.extent.is_interior:
-            raise CausalityError("extension must be interior to the future cone")
-
-    def __call__(self, event: RealEvent) -> complex:
-        return wavelet_eval(self.signal, event, self.extent)
+    dist = _radial_distance(x.space, y.space, near_circle_tol)
+    return _field(signal, dist, x.time, y.time, rel_tol)
 
 
 def boundary_jump(
@@ -162,11 +128,12 @@ def boundary_jump(
         raise NonAnalyticPointError(
             f"driving signal is not continuous at the retarded time {x.time - r:g}"
         )
-    samples = []
-    for e in eps:
-        plus = _kernel(signal, x, tuple(e * v for v in y.space), e * y.time, rel_tol)
-        minus = _kernel(signal, x, tuple(-e * v for v in y.space), -e * y.time, rel_tol)
-        samples.append(plus - minus)
+
+    def scaled(e):
+        dist = _radial_distance(x.space, tuple(e * v for v in y.space))
+        return _field(signal, dist, x.time, e * y.time, rel_tol)
+
+    samples = [scaled(e) - scaled(-e) for e in eps]
     limit, est = richardson_limit(eps, samples)
     scale = max(signal.peak_scale() / (_FOUR_PI * r), 1e-30)
     if est > 1e-6 * abs(limit) + 1e-9 * scale:

@@ -6,6 +6,7 @@ import pytest
 
 from pulsebeam import (
     CausalityError,
+    Channel,
     ConeVector,
     ConeViolationError,
     DeltaDerivative,
@@ -18,7 +19,6 @@ from pulsebeam import (
     channel_to_json,
     channel_translate,
     gain_scan,
-    make_channel,
     wavelet_eval,
 )
 
@@ -29,7 +29,7 @@ ORIGIN = RealEvent((0, 0, 0), 0.0)
 
 def los_channel(separation=10.0, arrival_offset=0.0):
     """Line-of-sight link along the z axis."""
-    return make_channel(
+    return Channel(
         ORIGIN,
         ConeVector((0, 0, 0.8), 1.6),
         RealEvent((0, 0, separation), separation + arrival_offset),
@@ -37,8 +37,17 @@ def los_channel(separation=10.0, arrival_offset=0.0):
     )
 
 
+def test_channel_identity_translation():
+    # a point emitter at the origin: the link is the receiver itself
+    ch = Channel(
+        ORIGIN, ConeVector.null(), RealEvent((0, 0, 0), 1.0), ConeVector((0, 0, 1), 2.0)
+    )
+    assert ch.separation.space == (0.0, 0.0, 0.0) and ch.separation.time == 1.0
+    assert ch.combined_extent.space == (0.0, 0.0, 1.0) and ch.combined_extent.time == 2.0
+
+
 def test_make_channel_parallel_extents():
-    ch = make_channel(
+    ch = Channel(
         ORIGIN,
         ConeVector((0, 0, 1), 2.0),
         RealEvent((0, 0, 5), 5.0),
@@ -48,8 +57,8 @@ def test_make_channel_parallel_extents():
     assert ch.combined_extent.time == pytest.approx(4.0)
 
 
-def test_make_channel_point_emitter_is_valid():
-    ch = make_channel(
+def test_channel_point_emitter_is_valid():
+    ch = Channel(
         ORIGIN, ConeVector.null(), RealEvent((0, 0, 5), 5.0), ConeVector((0, 0, 1), 2.0)
     )
     assert ch.emitter_extent.is_null
@@ -57,11 +66,11 @@ def test_make_channel_point_emitter_is_valid():
 
 def test_make_channel_rejects_two_point_endpoints():
     with pytest.raises(CausalityError):
-        make_channel(ORIGIN, ConeVector.null(), RealEvent((0, 0, 5), 5.0), ConeVector.null())
+        Channel(ORIGIN, ConeVector.null(), RealEvent((0, 0, 5), 5.0), ConeVector.null())
 
 
 def test_metrics_values():
-    ch = make_channel(
+    ch = Channel(
         ORIGIN,
         ConeVector((0, 0, 1), 2.0),
         RealEvent((0, 0, 5), 5.0),
@@ -76,7 +85,7 @@ def test_metrics_values():
 
 def test_metrics_orthogonal_extents_strict_triangle():
     # arithmetic oracle: a = sqrt(2), T = 4 - sqrt(2), B = 1/T
-    ch = make_channel(
+    ch = Channel(
         ORIGIN,
         ConeVector((0, 0, 1), 2.0),
         RealEvent((0, 0, 5), 5.0),
@@ -91,7 +100,7 @@ def test_metrics_orthogonal_extents_strict_triangle():
 
 
 def test_metrics_null_endpoint_bandwidth_sentinel():
-    ch = make_channel(
+    ch = Channel(
         ORIGIN, ConeVector.null(), RealEvent((0, 0, 5), 5.0), ConeVector((0, 0, 1), 2.0)
     )
     m = channel_metrics(ch)
@@ -103,7 +112,7 @@ def test_metrics_null_endpoint_bandwidth_sentinel():
 def test_amplitude_point_emitter_reduces_to_single_extent_wavelet():
     signal = GaussianPulse()
     receiver_extent = ConeVector((0, 0, 1), 2.0)
-    ch = make_channel(
+    ch = Channel(
         ORIGIN, ConeVector.null(), RealEvent((0, 0, 5), 5.2), receiver_extent
     )
     direct = wavelet_eval(signal, RealEvent((0, 0, 5), 5.2), receiver_extent)
@@ -170,7 +179,7 @@ def test_line_of_sight_beats_tilted_configuration():
     # same endpoint sizes, receiver extension tilted off the separation axis
     signal = DeltaDerivative(0)
     straight = los_channel(arrival_offset=0.0)
-    tilted = make_channel(
+    tilted = Channel(
         ORIGIN,
         ConeVector((0, 0, 0.8), 1.6),
         RealEvent((0, 0, 10.0), 10.0),
@@ -219,7 +228,7 @@ def test_triangle_inequality_random_extents():
         d2 /= np.linalg.norm(d2)
         a1, a2 = rng.uniform(0.05, 1.5, size=2)
         m1, m2 = rng.uniform(0.05, 1.0, size=2)
-        ch = make_channel(
+        ch = Channel(
             ORIGIN,
             ConeVector(tuple(a1 * d1), a1 + m1),
             apart,

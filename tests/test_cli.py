@@ -110,6 +110,94 @@ def test_grid_cap_rejected_before_computation(tmp_path):
     assert not out.exists()
 
 
+HUGE = {"min": 0.0, "max": 1.0, "count": 10**12}
+
+
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        ("distance", {"extent": [0.0, 0.0, 1.0, 2.0], "grid": {"x1": HUGE}}),
+        ("propagator", {"extent": [0.0, 0.0, 1.0, 2.0], "grid": {"x1": 0.5, "t": HUGE}}),
+        ("pattern", {"s": 2.0, "a": 1.0, "r": 100.0, "theta": {"count": 10**12}}),
+        ("channel", {"channel": CHANNEL_OBJ, "theta": {"count": 10**12}}),
+    ],
+)
+def test_huge_counts_rejected_before_any_axis_is_built(tmp_path, capsys, command, config):
+    # np.linspace over 1e12 samples would need 8 TB: the cap must come first
+    code, out = run_cli(tmp_path, command, config)
+    assert code == 1
+    assert "exceeding the cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
+AXIS = {"x1": {"min": 0.0, "max": 1.0, "count": 2}}
+EXTENT = [0.0, 0.0, 1.0, 2.0]
+
+
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        pytest.param("propagator", {"extent": [0, 0, 1, "x"], "grid": AXIS}, id="extent-string"),
+        pytest.param(
+            "wavelet",
+            {"extent": EXTENT, "signal": {"type": "delta", "order": "two"}, "grid": AXIS},
+            id="order-string",
+        ),
+        pytest.param(
+            "propagator",
+            {"extent": EXTENT, "max_points": "lots", "grid": AXIS},
+            id="max-points-string",
+        ),
+        pytest.param("pattern", {"s": 2.0, "a": "one", "r": 100.0}, id="pattern-a-string"),
+        pytest.param(
+            "wavelet",
+            {"extent": EXTENT, "signal": {"type": "delta", "order": 300}, "grid": AXIS},
+            id="order-300",
+        ),
+        pytest.param(
+            "wavelet",
+            {"extent": EXTENT, "signal": {"type": "delta", "order": True}, "grid": AXIS},
+            id="order-true",
+        ),
+        pytest.param(
+            "wavelet",
+            {
+                "extent": EXTENT,
+                "signal": {"type": "sampled", "times": ["x", 1.0], "values": [0.0, 1.0]},
+                "grid": AXIS,
+            },
+            id="sample-time-string",
+        ),
+        pytest.param(
+            "wavelet",
+            {"extent": EXTENT, "signal": {"type": "sampled", "times": 5, "values": 1}, "grid": AXIS},
+            id="sample-times-not-array",
+        ),
+        pytest.param(
+            "channel",
+            {
+                "channel": dict(
+                    CHANNEL_OBJ, emitter={"center": [0, 0, 0, "x"], "extent": [0, 0, 0.8, 1.6]}
+                )
+            },
+            id="channel-center-string",
+        ),
+        pytest.param(
+            "distance",
+            {"extent": EXTENT, "near_circle_tol": "x", "grid": AXIS},
+            id="near-circle-tol-string",
+        ),
+    ],
+)
+def test_malformed_config_values_are_one_line_errors(tmp_path, capsys, command, config):
+    code, out = run_cli(tmp_path, command, config)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_channel_subcommand_outputs(tmp_path, capsys):
     config = {
         "channel": CHANNEL_OBJ,

@@ -100,6 +100,11 @@ def test_branch_classify_examples():
     assert branch_classify((1, 0, 0), (0, 0, 1), 1e-9) is BranchRegion.ON_CIRCLE
     assert branch_classify((0.5, 0, 0), (0, 0, 1), 1e-9) is BranchRegion.ON_CUT
     assert branch_classify((0, 0, 5), (0, 0, 1), 1e-9) is BranchRegion.REGULAR
+    # tol = 0: the cut disk itself (x3 exactly 0) still classifies as ON_CUT,
+    # and the band around it within tol does not
+    assert branch_classify((0.5, 0, 0), (0, 0, 1), 0.0) is BranchRegion.ON_CUT
+    assert branch_classify((0.5, 0, 1e-12), (0, 0, 1), 0.0) is BranchRegion.REGULAR
+    assert branch_classify((0.5, 0, 1e-12), (0, 0, 1), 1e-9) is BranchRegion.ON_CUT
     with pytest.raises(ValidationError):
         branch_classify((1, 0, 0), (0, 0, 1), -1.0)
 

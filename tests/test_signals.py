@@ -62,6 +62,13 @@ def test_negative_order_rejected():
         DeltaDerivative(-1)
 
 
+@pytest.mark.parametrize("order", [True, 171, 300, 2.0])
+def test_order_must_be_a_plain_int_whose_factorial_is_a_float(order):
+    with pytest.raises(ValidationError):
+        DeltaDerivative(order)
+    assert DeltaDerivative(170).order == 170
+
+
 # ---------------------------------------------------------------------------
 # spectral route: must reproduce the closed forms (this pins the sign and
 # transform convention)

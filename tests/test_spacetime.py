@@ -6,14 +6,12 @@ from hypothesis import given, strategies as st
 
 from pulsebeam import (
     CausalityError,
-    ComplexEvent,
+    Channel,
     ConeStatus,
     ConeVector,
     RealEvent,
-    Tube,
     ValidationError,
     cone_status,
-    tube_difference,
 )
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -68,39 +66,26 @@ def test_real_event_shifted():
     assert moved.space == (1.5, -1.0, 0.0) and moved.time == 5.0
 
 
-def test_tube_difference_identity_translation():
-    emitter = ComplexEvent(RealEvent((0, 0, 0), 0.0), ConeVector.null(), Tube.FUTURE)
-    receiver = ComplexEvent(
-        RealEvent((0, 0, 0), 1.0), ConeVector((0, 0, 1), 2.0), Tube.PAST
-    )
-    z = tube_difference(receiver, emitter)
-    assert z.real.space == (0.0, 0.0, 0.0) and z.real.time == 1.0
-    assert z.imag.space == (0.0, 0.0, 1.0) and z.imag.time == 2.0
-    assert z.tube is Tube.PAST
-
-
 def test_tube_difference_sums_extensions():
-    emitter = ComplexEvent(
-        RealEvent((0, 0, 0), 0.0), ConeVector((0, 0, 1), 2.0), Tube.FUTURE
+    # the tube difference of a link is (x_r - x_e) + i (y_e + y_r)
+    ch = Channel(
+        RealEvent((0, 0, 0), 0.0),
+        ConeVector((0, 0, 1), 2.0),
+        RealEvent((1, 0, 0), 3.0),
+        ConeVector((0, 0, 1), 2.0),
     )
-    receiver = ComplexEvent(
-        RealEvent((1, 0, 0), 3.0), ConeVector((0, 0, 1), 2.0), Tube.PAST
-    )
-    z = tube_difference(receiver, emitter)
-    assert z.imag.space == (0.0, 0.0, 2.0) and z.imag.time == 4.0
+    assert ch.separation.space == (1.0, 0.0, 0.0) and ch.separation.time == 3.0
+    assert ch.combined_extent.space == (0.0, 0.0, 2.0) and ch.combined_extent.time == 4.0
 
 
 def test_tube_difference_two_null_endpoints_violate_causality():
-    emitter = ComplexEvent(RealEvent((0, 0, 0), 0.0), ConeVector.null(), Tube.FUTURE)
-    receiver = ComplexEvent(RealEvent((1, 0, 0), 1.0), ConeVector.null(), Tube.PAST)
     with pytest.raises(CausalityError):
-        tube_difference(receiver, emitter)
-
-
-def test_tube_difference_checks_tube_tags():
-    future = ComplexEvent(RealEvent((0, 0, 0), 0.0), ConeVector((0, 0, 1), 2.0), Tube.FUTURE)
-    with pytest.raises(ValidationError):
-        tube_difference(future, future)
+        Channel(
+            RealEvent((0, 0, 0), 0.0),
+            ConeVector.null(),
+            RealEvent((1, 0, 0), 1.0),
+            ConeVector.null(),
+        )
 
 
 def test_cone_sum_convexity_bulk():

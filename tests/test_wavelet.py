@@ -13,7 +13,6 @@ from pulsebeam import (
     RealEvent,
     SingularityProximityError,
     StencilPlacementError,
-    WaveletField,
     boundary_jump,
     extended_propagator,
     wave_residual,
@@ -80,14 +79,6 @@ def test_wavelet_with_temporal_extension_only():
     assert value == pytest.approx(expected, rel=1e-14)
     with pytest.raises(SingularityProximityError):
         wavelet_eval(signal, RealEvent((0, 0, 0), 1.0), ConeVector((0, 0, 0), 0.7))
-
-
-def test_wavelet_field_is_callable():
-    field = WaveletField(GaussianPulse(), ConeVector((0, 0, 1), 2.0))
-    event = RealEvent((0, 0, 4), 4.0)
-    assert field(event) == wavelet_eval(field.signal, event, field.extent)
-    with pytest.raises(CausalityError):
-        WaveletField(GaussianPulse(), ConeVector.null())
 
 
 def test_wavelet_linear_in_the_signal():
