@@ -43,7 +43,6 @@ from .geometry import (
 )
 from .propagator import BeamProfile, beam_profile, extended_propagator, far_zone_propagator
 from .signals import (
-    ComplexTime,
     DeltaDerivative,
     DrivingSignal,
     GaussianPulse,

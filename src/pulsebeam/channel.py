@@ -32,7 +32,7 @@ from typing import Sequence, Tuple
 
 from .errors import CausalityError, ConeViolationError, ValidationError
 from .propagator import _EIGHT_PI_SQ
-from .signals import DEFAULT_REL_TOL, DrivingSignal
+from .signals import DrivingSignal
 from .spacetime import (
     ConeStatus,
     ConeVector,
@@ -81,15 +81,13 @@ class Channel:
         return self.combined_extent.radius
 
 
-def channel_amplitude(
-    ch: Channel, signal: DrivingSignal, rel_tol: float = DEFAULT_REL_TOL
-) -> complex:
+def channel_amplitude(ch: Channel, signal: DrivingSignal) -> complex:
     """Transmission amplitude: the wavelet at the endpoint difference.
 
     Depends only on separation and combined extension, hence is invariant
     under the equivalence moves of channel_translate.
     """
-    return wavelet_eval(signal, ch.separation, ch.combined_extent, rel_tol=rel_tol)
+    return wavelet_eval(signal, ch.separation, ch.combined_extent)
 
 
 def _vec4(values: Sequence[float], what: str) -> Tuple[float, ...]:

@@ -17,15 +17,19 @@ the grid and theta sample counts are checked against `max_points` before
 any sample is built.  CSV files are written atomically (temp file +
 rename) with a header row, shortest round-trip float formatting, '.'
 decimal separator, and Unix newlines.  Row order is row-major over the
-grid axes in declaration order (x1, x2, x3, t).  Guarded singular points
-are emitted with empty value cells and a status flag instead of NaNs.
+grid axes in declaration order (x1, x2, x3, t).  Grid rows are written as
+they are computed; an error at any point aborts the grid, names the point,
+and leaves no file behind (no partial CSV, no temp file).  Guarded
+singular points are emitted with empty value cells and a status flag; a
+value that overflows a float is an accuracy error, never a NaN or inf.
 
 Rows are evaluated serially.  `--threads`, the config field `threads` and
 the PULSEBEAM_THREADS environment variable are still accepted and
 validated (an integer >= 1), for compatibility; they do not change the
 output or the evaluation.
 
-Exit codes: 0 success, 1 validation error, 2 accuracy error, 3 I/O error.
+Exit codes: 0 success, 1 validation error, 2 accuracy error (including a
+float overflow), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -37,8 +41,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -51,7 +54,7 @@ from .channel import (
 from .errors import AccuracyError, PulsebeamError, SingularityProximityError, ValidationError
 from .geometry import complex_distance
 from .propagator import _impulse_field, beam_profile
-from .signals import DEFAULT_REL_TOL, DeltaDerivative, DrivingSignal, GaussianPulse, SampledSignal
+from .signals import DeltaDerivative, DrivingSignal, GaussianPulse, SampledSignal
 from .spacetime import ConeVector, norm3
 from .wavelet import _field, _radial_distance
 
@@ -63,18 +66,6 @@ THREADS_ENV_VAR = "PULSEBEAM_THREADS"
 # ---------------------------------------------------------------------------
 # grid and run configuration
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Sample values per axis, in declaration order; rows iterate row-major."""
-
-    axes: Tuple[Tuple[str, Tuple[float, ...]], ...]
-
-    def iter_points(self):
-        names = [name for name, _ in self.axes]
-        for combo in itertools.product(*(values for _, values in self.axes)):
-            yield dict(zip(names, combo))
 
 
 def _number(value, field: str, integer: bool = False):
@@ -117,7 +108,15 @@ def _axis(name: str, spec) -> Tuple[int, Callable[[], Tuple[float, ...]]]:
             raise ValidationError(f"'{name}.count' must be >= 1, got {count}")
         if lo > hi:
             raise ValidationError(f"'{name}' needs min <= max, got {lo} > {hi}")
-        return count, lambda: tuple(float(v) for v in np.linspace(lo, hi, count))
+
+        def build():
+            with np.errstate(all="ignore"):
+                values = tuple(float(v) for v in np.linspace(lo, hi, count))
+            if not all(math.isfinite(v) for v in values):
+                raise ValidationError(f"'{name}' samples between {lo} and {hi} overflow a float")
+            return values
+
+        return count, build
     raise ValidationError(f"'{name}' must be a number (fixed) or an object with min/max/count")
 
 
@@ -131,7 +130,8 @@ def _check_cap(config: dict, total: int, what: str) -> None:
         )
 
 
-def grid_from_config(config: dict, names: Sequence[str]) -> GridSpec:
+def grid_from_config(config: dict, names: Sequence[str]) -> Tuple[Tuple[float, ...], ...]:
+    """The sample values of each axis in `names`, in that order."""
     grid_cfg = config.get("grid", {})
     if not isinstance(grid_cfg, dict):
         raise ValidationError("'grid' must be an object mapping axis names to specs")
@@ -142,7 +142,7 @@ def grid_from_config(config: dict, names: Sequence[str]) -> GridSpec:
         )
     axes = [(name, *_axis(f"grid.{name}", grid_cfg.get(name, 0.0))) for name in names]
     _check_cap(config, math.prod(count for _, count, _ in axes), "grid")
-    return GridSpec(tuple((name, build()) for name, _, build in axes))
+    return tuple(build() for _, _, build in axes)
 
 
 def signal_from_config(obj) -> DrivingSignal:
@@ -159,11 +159,16 @@ def signal_from_config(obj) -> DrivingSignal:
         )
     if kind == "sampled":
         if "path" in obj:
+            if not isinstance(obj["path"], str):
+                raise ValidationError(f"'signal.path' must be a string, got {obj['path']!r}")
             return SampledSignal.from_csv(obj["path"])
         if "times" in obj and "values" in obj:
             if not (isinstance(obj["times"], list) and isinstance(obj["values"], list)):
                 raise ValidationError("sampled signal 'times' and 'values' must be arrays")
-            return SampledSignal(tuple(obj["times"]), tuple(obj["values"]))
+            return SampledSignal(
+                tuple(_number(v, f"signal.times[{i}]") for i, v in enumerate(obj["times"])),
+                tuple(_number(v, f"signal.values[{i}]") for i, v in enumerate(obj["values"])),
+            )
         raise ValidationError("sampled signal needs either 'path' or 'times'+'values'")
     raise ValidationError(f"unknown signal type {kind!r}; use delta, gaussian, or sampled")
 
@@ -184,12 +189,19 @@ def extent_from_config(config: dict) -> ConeVector:
 
 
 def format_float(value: float) -> str:
-    """Shortest decimal that round-trips; never NaN/inf by contract."""
-    return repr(float(value))
+    """Shortest decimal that round-trips; a NaN or inf is an AccuracyError, never a cell."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise AccuracyError(f"value {value!r} does not fit a float", value=value)
+    return repr(value)
 
 
-def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
-    """Write atomically: temp file in the target directory, then rename."""
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    """Write atomically: temp file in the target directory, then rename.
+
+    rows may be a generator; if it raises, the temp file is removed and
+    nothing appears at path.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(prefix=".pulsebeam-", suffix=".csv", dir=directory)
     try:
@@ -216,56 +228,68 @@ def _near_circle_tol(config: dict):
     return None if tol is None else _number(tol, "near_circle_tol")
 
 
+def _write_grid(
+    config: dict, out: str, names: Tuple[str, ...], columns: Tuple[str, ...], render: Callable
+) -> None:
+    """Stream one row per grid point, row-major over `names`: its coordinates, then render(point).
+
+    An accuracy or float-overflow error at a point is re-raised as an
+    AccuracyError naming the row index and the point.
+    """
+    axes = grid_from_config(config, names)
+
+    def rows():
+        for index, point in enumerate(itertools.product(*axes)):
+            try:
+                cells = render(point)
+            except (AccuracyError, ArithmeticError) as exc:
+                where = ", ".join(f"{name}={value!r}" for name, value in zip(names, point))
+                raise AccuracyError(
+                    f"grid row {index} ({where}): {exc}",
+                    value=getattr(exc, "value", None),
+                    estimate=getattr(exc, "estimate", None),
+                ) from exc
+            yield tuple(format_float(value) for value in point) + cells
+
+    write_csv(out, names + columns, rows())
+
+
 def _run_distance(config: dict, out: str) -> None:
     extent = extent_from_config(config)
     if extent.radius == 0.0:
         raise ValidationError("distance maps need a nonzero spatial extension")
-    grid = grid_from_config(config, ("x1", "x2", "x3"))
     tol = _near_circle_tol(config)
-    y = extent.space
 
-    def render(point):
-        space = (point["x1"], point["x2"], point["x3"])
-        dist = complex_distance(space, y, near_circle_tol=tol)
+    def render(space):
+        dist = complex_distance(space, extent.space, near_circle_tol=tol)
         if dist.near_circle:
             status = "on_circle"
         elif dist.on_cut:
             status = "on_cut"
         else:
             status = "ok"
-        return (
-            format_float(point["x1"]),
-            format_float(point["x2"]),
-            format_float(point["x3"]),
-            format_float(dist.p),
-            format_float(dist.q),
-            status,
-        )
+        return (format_float(dist.p), format_float(dist.q), status)
 
-    rows = [render(point) for point in grid.iter_points()]
-    write_csv(out, ("x1", "x2", "x3", "p", "q", "status"), rows)
+    _write_grid(config, out, ("x1", "x2", "x3"), ("p", "q", "status"), render)
 
 
 def _write_field(config: dict, out: str, distance: Callable, value: Callable) -> None:
     """Grid map of a field: one distance per point feeds both the value and the status."""
-    grid = grid_from_config(config, GRID_AXES)
 
     def render(point):
-        prefix = tuple(format_float(point[name]) for name in GRID_AXES)
-        dist = distance((point["x1"], point["x2"], point["x3"]))
+        dist = distance(point[:3])
         try:
-            field = value(dist, point["t"])
+            field = value(dist, point[3])
         except SingularityProximityError:
-            return prefix + ("", "", "", "singular")
-        return prefix + (
+            return ("", "", "", "singular")
+        return (
             format_float(field.real),
             format_float(field.imag),
             format_float(abs(field)),
             "on_cut" if dist.on_cut else "ok",
         )
 
-    rows = [render(point) for point in grid.iter_points()]
-    write_csv(out, GRID_AXES + ("re", "im", "abs", "status"), rows)
+    _write_grid(config, out, GRID_AXES, ("re", "im", "abs", "status"), render)
 
 
 def _run_propagator(config: dict, out: str) -> None:
@@ -293,7 +317,7 @@ def _run_wavelet(config: dict, out: str) -> None:
         config,
         out,
         lambda space: _radial_distance(space, extent.space, tol),
-        lambda dist, t: _field(signal, dist, t, extent.time, DEFAULT_REL_TOL),
+        lambda dist, t: _field(signal, dist, t, extent.time),
     )
 
 
@@ -347,8 +371,8 @@ def _run_channel(config: dict, out: str) -> None:
     write_csv(out, ("theta", "peak"), rows)
 
     def jsonable(value):
-        # infinite bandwidth of an idealized point endpoint: string sentinel,
-        # keeping the summary strict JSON
+        # infinite bandwidth (an idealized point endpoint, or a duration
+        # below the float range): string sentinel, keeping the summary strict JSON
         return value if math.isfinite(value) else "inf"
 
     summary = {
@@ -358,7 +382,7 @@ def _run_channel(config: dict, out: str) -> None:
             "duration": metrics.duration,
             "emit_bandwidth": jsonable(metrics.emit_bandwidth),
             "receive_bandwidth": jsonable(metrics.receive_bandwidth),
-            "bandwidth": metrics.bandwidth,
+            "bandwidth": jsonable(metrics.bandwidth),
             "aperture": metrics.aperture,
         },
         "amplitude": {
@@ -476,7 +500,8 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except AccuracyError as exc:
+    except (AccuracyError, ArithmeticError) as exc:
+        # a float overflow or underflow to zero: the result is not representable
         print(f"accuracy error: {exc}", file=sys.stderr)
         return 2
     except PulsebeamError as exc:

@@ -48,13 +48,7 @@ def _impulse_field(dist: ComplexDistance, t: float, s: float) -> complex:
     return 1.0 / (8j * math.pi * math.pi * rt * (tau - rt))
 
 
-def extended_propagator(
-    x: Sequence[float],
-    y: Sequence[float],
-    t: float,
-    s: float,
-    near_circle_tol: float | None = None,
-) -> complex:
+def extended_propagator(x: Sequence[float], y: Sequence[float], t: float, s: float) -> complex:
     """Extended impulse field at spatial offset x, time t, extension (y, s).
 
     Requires an interior extension (s > |y| > 0) and an evaluation point
@@ -63,7 +57,7 @@ def extended_propagator(
     """
     t = as_scalar(t, "time")
     s = as_scalar(s, "extension lag")
-    dist = complex_distance(x, y, near_circle_tol=near_circle_tol)
+    dist = complex_distance(x, y)
     _require_interior(s, norm3(as_vec3(y, "extension vector")))
     return _impulse_field(dist, t, s)
 

@@ -49,32 +49,16 @@ from .spacetime import as_scalar
 # when truncating quadrature supports.
 SUPPORT_FLOOR = 1e-14
 
-# Default accuracy target (relative) for the quadrature-backed evaluations.
+# Accuracy target (relative) of every quadrature-backed evaluation.
 DEFAULT_REL_TOL = 1e-9
 
-# Geometric epsilon ladder (ratio 2) for boundary-jump extrapolations.
+# Geometric epsilon ladder (ratio 2) of every boundary-jump extrapolation.
 DEFAULT_EPS_LADDER = (0.1, 0.05, 0.025, 0.0125, 0.00625, 0.003125)
 
 # Highest impulse-derivative order: n! overflows a float beyond it.
 MAX_DELTA_ORDER = 170
 
 _TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class ComplexTime:
-    """Complex time argument tau = t - i s."""
-
-    t: float
-    s: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "t", as_scalar(self.t, "time"))
-        object.__setattr__(self, "s", as_scalar(self.s, "imaginary time"))
-
-    @property
-    def value(self) -> complex:
-        return complex(self.t, -self.s)
 
 
 class DrivingSignal:
@@ -292,10 +276,10 @@ def _quad_complex(func, lo: float, hi: float, limit: int = 200):
     return complex(re, im), re_err + im_err
 
 
-def _check_accuracy(value: complex, estimate: float, rel_tol: float, scale: float, what: str) -> complex:
-    if estimate > rel_tol * abs(value) and estimate > 1e-12 * scale:
+def _check_accuracy(value: complex, estimate: float, scale: float, what: str) -> complex:
+    if estimate > DEFAULT_REL_TOL * abs(value) and estimate > 1e-12 * scale:
         raise AccuracyError(
-            f"{what} did not converge to the relative target {rel_tol:g}: "
+            f"{what} did not converge to the relative target {DEFAULT_REL_TOL:g}: "
             f"achieved estimate {estimate:.3e} for value {value!r}",
             value=value,
             estimate=estimate,
@@ -308,16 +292,17 @@ def _check_accuracy(value: complex, estimate: float, rel_tol: float, scale: floa
 # ---------------------------------------------------------------------------
 
 
-def analytic_signal(signal: DrivingSignal, tau, rel_tol: float = DEFAULT_REL_TOL) -> complex:
-    """Analytic signal g(tau) of a driving signal at complex time tau.
+def analytic_signal(signal: DrivingSignal, tau: complex) -> complex:
+    """Analytic signal g(tau) of a driving signal at complex time tau = t - i s.
 
-    tau may be a ComplexTime or a plain complex number t - i s.  Impulse
-    derivatives use the closed form (-1)^n n! / (2 pi i tau^(n+1)); the
-    other families are integrated adaptively over their truncated support,
-    split at the real part of tau.  A real tau is accepted only where the
-    signal vanishes, i.e. where the two boundary values coincide.
+    Impulse derivatives use the closed form (-1)^n n! / (2 pi i tau^(n+1));
+    the other families are integrated adaptively over their truncated
+    support, split at the real part of tau.  A real tau is accepted only
+    where the signal vanishes, i.e. where the two boundary values coincide.
+    A value that is not a finite float (the closed form overflows at high
+    orders) raises AccuracyError.
     """
-    z = tau.value if isinstance(tau, ComplexTime) else complex(tau)
+    z = complex(tau)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValidationError(f"complex time must be finite, got {z}")
 
@@ -327,8 +312,21 @@ def analytic_signal(signal: DrivingSignal, tau, rel_tol: float = DEFAULT_REL_TOL
                 "the analytic signal of an impulse derivative is singular at tau = 0"
             )
         n = signal.order
-        return (-1.0) ** n * math.factorial(n) / (2j * math.pi * z ** (n + 1))
+        try:
+            value = (-1.0) ** n * math.factorial(n) / (2j * math.pi * z ** (n + 1))
+        except (OverflowError, ZeroDivisionError):
+            value = complex(math.inf)
+    else:
+        value = _cauchy_quadrature(signal, z)
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise AccuracyError(
+            f"analytic signal at tau = {z} does not evaluate to a finite float", value=value
+        )
+    return value
 
+
+def _cauchy_quadrature(signal: DrivingSignal, z: complex) -> complex:
+    """The Cauchy integral of a signal with a pointwise value, by adaptive quadrature."""
     lo, hi = signal.effective_support()
     if z.imag == 0.0 and lo <= z.real <= hi:
         raise NonAnalyticPointError(
@@ -358,9 +356,7 @@ def analytic_signal(signal: DrivingSignal, tau, rel_tol: float = DEFAULT_REL_TOL
             total += val
             est += err
     value = total / (2j * math.pi)
-    return _check_accuracy(
-        value, est / _TWO_PI, rel_tol, signal.peak_scale(), "analytic-signal quadrature"
-    )
+    return _check_accuracy(value, est / _TWO_PI, signal.peak_scale(), "analytic-signal quadrature")
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +377,7 @@ def _spectral_upper_limit(signal: DrivingSignal, damping: float) -> float:
     return upper
 
 
-def spectral_signal(
-    signal: DrivingSignal, t: float, s: float, rel_tol: float = DEFAULT_REL_TOL
-) -> complex:
+def spectral_signal(signal: DrivingSignal, t: float, s: float) -> complex:
     """Analytic signal via the one-sided spectral integral; requires s != 0.
 
     For s > 0 only positive frequencies contribute and the factor
@@ -414,24 +408,13 @@ def spectral_signal(
     value, est = _quad_complex(integrand, 0.0, upper, limit=800)
     scale = abs(fourier_transform(signal, min(1.0 / damping, upper))) / (_TWO_PI * damping)
     return _check_accuracy(
-        prefactor * value, est / _TWO_PI, rel_tol, scale, "spectral-signal quadrature"
+        prefactor * value, est / _TWO_PI, scale, "spectral-signal quadrature"
     )
 
 
 # ---------------------------------------------------------------------------
 # boundary jumps
 # ---------------------------------------------------------------------------
-
-
-def validate_eps_ladder(eps_list: Sequence[float], minimum: int = 3) -> Tuple[float, ...]:
-    eps = tuple(as_scalar(e, "epsilon") for e in eps_list)
-    if len(eps) < minimum:
-        raise ValidationError(f"epsilon ladder needs at least {minimum} entries, got {len(eps)}")
-    if any(e <= 0.0 for e in eps):
-        raise ValidationError("epsilon ladder entries must be positive")
-    if any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ValidationError("epsilon ladder must be strictly descending")
-    return eps
 
 
 def richardson_limit(eps_list: Sequence[float], values: Sequence[complex]):
@@ -458,17 +441,15 @@ def richardson_limit(eps_list: Sequence[float], values: Sequence[complex]):
     return best, estimate
 
 
-def jump_of_signal(
-    signal: DrivingSignal, t: float, eps_list: Sequence[float] = DEFAULT_EPS_LADDER
-) -> float:
-    """Boundary-value jump g(t - i 0+) - g(t + i 0+), extrapolated over eps_list.
+def jump_of_signal(signal: DrivingSignal, t: float) -> float:
+    """Boundary-value jump g(t - i 0+) - g(t + i 0+), extrapolated over DEFAULT_EPS_LADDER.
 
     For a signal continuous at t the jump recovers g0(t) itself.  The
     extrapolation must converge and yield a (numerically) real value;
     otherwise an AccuracyError carrying the best estimate is raised.
     """
     t = as_scalar(t, "time")
-    eps = validate_eps_ladder(eps_list)
+    eps = DEFAULT_EPS_LADDER
     if not signal.is_continuous_at(t):
         raise NonAnalyticPointError(f"driving signal is not continuous at t = {t:g}")
     samples = [

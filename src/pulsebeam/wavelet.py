@@ -17,12 +17,12 @@ the retarded field g0(t - r) / (4 pi r) of an ideal point source.
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Sequence
 
 from .errors import (
     AccuracyError,
-    CausalityError,
     DomainError,
     NonAnalyticPointError,
     SingularityProximityError,
@@ -36,14 +36,8 @@ from .geometry import (
     complex_distance,
     segment_crosses_cut,
 )
-from .signals import (
-    DEFAULT_EPS_LADDER,
-    DEFAULT_REL_TOL,
-    DrivingSignal,
-    analytic_signal,
-    richardson_limit,
-    validate_eps_ladder,
-)
+from .propagator import _require_interior
+from .signals import DEFAULT_EPS_LADDER, DrivingSignal, analytic_signal, richardson_limit
 from .spacetime import ConeVector, RealEvent, as_scalar, norm3
 
 _FOUR_PI = 4.0 * math.pi
@@ -64,9 +58,7 @@ def _radial_distance(
     return ComplexDistance(r, 0.0, near_circle=r == 0.0)
 
 
-def _field(
-    signal: DrivingSignal, dist: ComplexDistance, t: float, lag: float, rel_tol: float
-) -> complex:
+def _field(signal: DrivingSignal, dist: ComplexDistance, t: float, lag: float) -> complex:
     """g(tau - rt)/(4 pi rt) with rt = dist.value and tau = t - i lag."""
     if dist.near_circle:
         raise SingularityProximityError(
@@ -75,16 +67,13 @@ def _field(
         )
     rt = dist.value
     tau = complex(t, -lag)
-    return analytic_signal(signal, tau - rt, rel_tol=rel_tol) / (_FOUR_PI * rt)
+    value = analytic_signal(signal, tau - rt) / (_FOUR_PI * rt)
+    if not cmath.isfinite(value):
+        raise AccuracyError(f"wavelet at rt = {rt} overflows a float", value=value)
+    return value
 
 
-def wavelet_eval(
-    signal: DrivingSignal,
-    x: RealEvent,
-    y: ConeVector,
-    rel_tol: float = DEFAULT_REL_TOL,
-    near_circle_tol: float | None = None,
-) -> complex:
+def wavelet_eval(signal: DrivingSignal, x: RealEvent, y: ConeVector) -> complex:
     """Beam wavelet g(tau - rt)/(4 pi rt) at the real event x for extension y.
 
     y must be interior.  When its space part vanishes the radial coordinate
@@ -92,30 +81,22 @@ def wavelet_eval(
     evaluation near the branch circle is refused with the guard tolerance
     inherited from the geometry module.
     """
-    if not y.is_interior:
-        raise CausalityError("extension must be interior to the future cone (lag > radius)")
-    dist = _radial_distance(x.space, y.space, near_circle_tol)
-    return _field(signal, dist, x.time, y.time, rel_tol)
+    _require_interior(y.time, y.radius)
+    return _field(signal, _radial_distance(x.space, y.space), x.time, y.time)
 
 
-def boundary_jump(
-    signal: DrivingSignal,
-    x: RealEvent,
-    y: ConeVector,
-    eps_list: Sequence[float] = DEFAULT_EPS_LADDER,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> complex:
+def boundary_jump(signal: DrivingSignal, x: RealEvent, y: ConeVector) -> complex:
     """Jump of the wavelet between its two boundary values across real spacetime.
 
     The field is evaluated with the extension scaled to +eps*y (the side
     that continues the reception-type parameterization) and to -eps*y (the
-    emission-type side), and the difference is extrapolated to eps -> 0+.
+    emission-type side), and the difference is extrapolated to eps -> 0+
+    over DEFAULT_EPS_LADDER.
     For a signal continuous at t - r the limit equals g0(t - r)/(4 pi r),
     the retarded field of an ideal point source.
     """
-    if not y.is_interior:
-        raise CausalityError("extension must be interior to the future cone")
-    eps = validate_eps_ladder(eps_list)
+    _require_interior(y.time, y.radius)
+    eps = DEFAULT_EPS_LADDER
     r = x.radius
     if r == 0.0:
         raise DomainError("the boundary jump is undefined at the spatial origin")
@@ -131,7 +112,7 @@ def boundary_jump(
 
     def scaled(e):
         dist = _radial_distance(x.space, tuple(e * v for v in y.space))
-        return _field(signal, dist, x.time, e * y.time, rel_tol)
+        return _field(signal, dist, x.time, e * y.time)
 
     samples = [scaled(e) - scaled(-e) for e in eps]
     limit, est = richardson_limit(eps, samples)
@@ -171,13 +152,7 @@ def _check_stencil(x: RealEvent, y: ConeVector, h: float, guard_tol: float) -> N
 
 
 def wave_residual(
-    signal: DrivingSignal,
-    x: RealEvent,
-    y: ConeVector,
-    h: float,
-    guard: bool = True,
-    rel_tol: float = DEFAULT_REL_TOL,
-    near_circle_tol: float | None = None,
+    signal: DrivingSignal, x: RealEvent, y: ConeVector, h: float, guard: bool = True
 ) -> complex:
     """Central-difference wave-operator residual d_tt W - Lap W with step h.
 
@@ -185,29 +160,32 @@ def wave_residual(
     pure truncation error and shrinks as O(h^2).  With guard=True the
     full spatial stencil must stay regular and off the cut; guard=False
     permits diagnostic evaluation near the singular support, where the
-    residual spikes.
+    residual spikes.  The centre and both time shifts share one radial
+    distance.
     """
     h = as_scalar(h, "stencil step")
     if h <= 0.0:
         raise DomainError(f"stencil step must be positive, got {h}")
     if guard:
-        tol = near_circle_tol
-        if tol is None:
-            tol = NEAR_CIRCLE_REL_TOL * max(y.radius, 1.0)
-        _check_stencil(x, y, h, tol)
+        _check_stencil(x, y, h, NEAR_CIRCLE_REL_TOL * max(y.radius, 1.0))
+    _require_interior(y.time, y.radius)
 
-    def w(space, time):
-        return wavelet_eval(
-            signal, RealEvent(space, time), y, rel_tol=rel_tol, near_circle_tol=near_circle_tol
-        )
-
-    center = w(x.space, x.time)
-    time_second = w(x.space, x.time + h) - 2.0 * center + w(x.space, x.time - h)
+    dist = _radial_distance(x.space, y.space)
+    center = _field(signal, dist, x.time, y.time)
+    time_second = (
+        _field(signal, dist, x.time + h, y.time)
+        - 2.0 * center
+        + _field(signal, dist, x.time - h, y.time)
+    )
     laplacian = 0j
     for axis in range(3):
         lo = list(x.space)
         hi = list(x.space)
         lo[axis] -= h
         hi[axis] += h
-        laplacian += w(tuple(hi), x.time) - 2.0 * center + w(tuple(lo), x.time)
+        laplacian += (
+            _field(signal, _radial_distance(hi, y.space), x.time, y.time)
+            - 2.0 * center
+            + _field(signal, _radial_distance(lo, y.space), x.time, y.time)
+        )
     return (time_second - laplacian) / (h * h)

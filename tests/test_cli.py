@@ -1,9 +1,12 @@
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pulsebeam.cli import main
+from pulsebeam.cli import GRID_AXES, main
 
 CHANNEL_OBJ = {
     "emitter": {"center": [0.0, 0.0, 0.0, 0.0], "extent": [0.0, 0.0, 0.8, 1.6]},
@@ -135,28 +138,34 @@ EXTENT = [0.0, 0.0, 1.0, 2.0]
 
 
 @pytest.mark.parametrize(
-    "command,config",
+    "command,config,field",
     [
-        pytest.param("propagator", {"extent": [0, 0, 1, "x"], "grid": AXIS}, id="extent-string"),
+        pytest.param(
+            "propagator", {"extent": [0, 0, 1, "x"], "grid": AXIS}, "'extent[3]'", id="extent-string"
+        ),
         pytest.param(
             "wavelet",
             {"extent": EXTENT, "signal": {"type": "delta", "order": "two"}, "grid": AXIS},
+            "'signal.order'",
             id="order-string",
         ),
         pytest.param(
             "propagator",
             {"extent": EXTENT, "max_points": "lots", "grid": AXIS},
+            "'max_points'",
             id="max-points-string",
         ),
-        pytest.param("pattern", {"s": 2.0, "a": "one", "r": 100.0}, id="pattern-a-string"),
+        pytest.param("pattern", {"s": 2.0, "a": "one", "r": 100.0}, "'a'", id="pattern-a-string"),
         pytest.param(
             "wavelet",
             {"extent": EXTENT, "signal": {"type": "delta", "order": 300}, "grid": AXIS},
+            "order",
             id="order-300",
         ),
         pytest.param(
             "wavelet",
             {"extent": EXTENT, "signal": {"type": "delta", "order": True}, "grid": AXIS},
+            "'signal.order'",
             id="order-true",
         ),
         pytest.param(
@@ -166,12 +175,41 @@ EXTENT = [0.0, 0.0, 1.0, 2.0]
                 "signal": {"type": "sampled", "times": ["x", 1.0], "values": [0.0, 1.0]},
                 "grid": AXIS,
             },
+            "'signal.times[0]'",
             id="sample-time-string",
         ),
         pytest.param(
             "wavelet",
+            {
+                "extent": EXTENT,
+                "signal": {"type": "sampled", "times": [0.0, "x"], "values": [0.0, 1.0]},
+                "grid": AXIS,
+            },
+            "'signal.times[1]'",
+            id="second-sample-time-string",
+        ),
+        pytest.param(
+            "wavelet",
+            {
+                "extent": EXTENT,
+                "signal": {"type": "sampled", "times": [0.0, 1.0], "values": [0.0, None]},
+                "grid": AXIS,
+            },
+            "'signal.values[1]'",
+            id="sample-value-null",
+        ),
+        pytest.param(
+            "wavelet",
             {"extent": EXTENT, "signal": {"type": "sampled", "times": 5, "values": 1}, "grid": AXIS},
+            "'times'",
             id="sample-times-not-array",
+        ),
+        pytest.param(
+            # an integer path would be opened as a file descriptor
+            "wavelet",
+            {"extent": EXTENT, "signal": {"type": "sampled", "path": 1}, "grid": AXIS},
+            "'signal.path'",
+            id="sample-path-not-a-string",
         ),
         pytest.param(
             "channel",
@@ -180,22 +218,74 @@ EXTENT = [0.0, 0.0, 1.0, 2.0]
                     CHANNEL_OBJ, emitter={"center": [0, 0, 0, "x"], "extent": [0, 0, 0.8, 1.6]}
                 )
             },
+            "emitter center",
             id="channel-center-string",
         ),
         pytest.param(
             "distance",
             {"extent": EXTENT, "near_circle_tol": "x", "grid": AXIS},
+            "'near_circle_tol'",
             id="near-circle-tol-string",
         ),
     ],
 )
-def test_malformed_config_values_are_one_line_errors(tmp_path, capsys, command, config):
+def test_malformed_config_values_are_one_line_errors(tmp_path, capsys, command, config, field):
     code, out = run_cli(tmp_path, command, config)
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert field in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+DELTA_170 = {"type": "delta", "order": 170}
+ORIGIN_CONFIG = {"extent": [0.0, 0.0, 0.99, 1.0], "signal": DELTA_170, "grid": {}}
+
+
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        pytest.param(
+            "wavelet",
+            {
+                "extent": [0.0, 0.0, 0.5, 1.0],
+                "signal": DELTA_170,
+                "grid": {"x3": {"min": 0.0, "max": 2.0, "count": 5}},
+            },
+            id="wavelet-axis",
+        ),
+        pytest.param("wavelet", ORIGIN_CONFIG, id="wavelet-origin"),
+        pytest.param(
+            "channel",
+            {
+                "channel": {
+                    "emitter": {"center": [0, 0, 0, 0], "extent": [0, 0, 0.5, 1]},
+                    "receiver": {"center": [0, 0, 0.1, 0], "extent": [0, 0, 0.49, 0.5]},
+                },
+                "signal": DELTA_170,
+            },
+            id="channel",
+        ),
+    ],
+)
+def test_impulse_overflow_is_an_accuracy_error(tmp_path, capsys, command, config):
+    # n!/tau^(n+1) at order 170 overflows (or tau^171 underflows to 0) near these points
+    code, out = run_cli(tmp_path, command, config)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("accuracy error: ") and len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_grid_abort_names_the_point_and_leaves_no_file(tmp_path, capsys):
+    code, out = run_cli(tmp_path, "wavelet", ORIGIN_CONFIG)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "grid row 0 (x1=0.0, x2=0.0, x3=0.0, t=0.0)" in err
+    assert not out.exists()
+    assert not list(tmp_path.glob(".pulsebeam-*.csv"))
 
 
 def test_channel_subcommand_outputs(tmp_path, capsys):
@@ -216,6 +306,22 @@ def test_channel_subcommand_outputs(tmp_path, capsys):
     header, rows = read_rows(out)
     assert header == ["theta", "peak"]
     assert len(rows) == 91
+
+
+def test_channel_summary_stays_strict_json_when_the_link_duration_underflows(tmp_path, capsys):
+    # lags of 5e-324: 1/duration overflows, while the far scan peaks stay finite
+    endpoint = {"extent": [0.0, 0.0, 0.0, 5e-324]}
+    config = {
+        "channel": {
+            "emitter": dict(endpoint, center=[0.0, 0.0, 0.0, 0.0]),
+            "receiver": dict(endpoint, center=[0.0, 0.0, 1e20, 0.0]),
+        },
+        "theta": {"count": 3},
+    }
+    code, _ = run_cli(tmp_path, "channel", config)
+    assert code == 0
+    metrics = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)["metrics"]
+    assert metrics["bandwidth"] == "inf"
 
 
 def test_invalid_config_is_a_validation_error(tmp_path):
@@ -314,3 +420,133 @@ def test_sampled_signal_from_csv_config(tmp_path):
     assert code == 0
     _, rows = read_rows(out)
     assert len(rows) == 3 and all(r["status"] == "ok" for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# config fuzzing: valid configs with up to two fields replaced by junk
+# ---------------------------------------------------------------------------
+
+# small numbers, and any finite float, extremes included
+NUMBER = st.one_of(
+    st.floats(-4.0, 4.0), st.integers(-3, 3), st.floats(allow_nan=False, allow_infinity=False)
+)
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.sampled_from([math.nan, math.inf, -1, 0, 2.5]),
+    st.dictionaries(st.just("min"), NUMBER),
+)
+# lengths and lags: mostly positive, so that most configs get past the physical checks
+POSITIVE = st.one_of(st.floats(0.05, 4.0), NUMBER)
+VEC4 = st.lists(NUMBER, min_size=4, max_size=4)
+EXTENT4 = st.tuples(*[st.floats(-1.0, 1.0)] * 3, st.floats(0.0, 4.0)).map(list)
+
+
+def sample_range(max_count):
+    return st.tuples(NUMBER, NUMBER, st.integers(1, max_count)).map(
+        lambda c: {"min": min(c[:2]), "max": max(c[:2]), "count": c[2]}
+    )
+
+
+# at most 2 samples per grid axis (16 points) and 64 theta samples
+AXIS_SPEC = st.one_of(NUMBER, sample_range(2))
+THETA_SPEC = st.one_of(st.just({}), sample_range(64))
+SIGNAL_SPEC = st.one_of(
+    st.fixed_dictionaries({"type": st.just("delta"), "order": st.integers(0, 170)}),
+    st.fixed_dictionaries(
+        {"type": st.just("gaussian"), "center": NUMBER, "width": POSITIVE, "amplitude": NUMBER}
+    ),
+    st.fixed_dictionaries(
+        {
+            "type": st.just("sampled"),
+            "times": st.lists(NUMBER, min_size=2, max_size=6),
+            "values": st.lists(NUMBER, min_size=2, max_size=6),
+        }
+    ),
+    st.fixed_dictionaries({"type": st.just("sampled"), "path": st.just("no-such-signal.csv")}),
+)
+COMMON = {"max_points": st.integers(16, 64), "threads": st.integers(1, 4)}
+FIELD = {**COMMON, "near_circle_tol": NUMBER}
+ENDPOINT = st.fixed_dictionaries({"center": VEC4, "extent": EXTENT4})
+
+
+def grid_spec(names):
+    return st.fixed_dictionaries({}, optional={name: AXIS_SPEC for name in names})
+
+
+VALID_CONFIGS = {
+    "distance": st.fixed_dictionaries(
+        {"extent": EXTENT4, "grid": grid_spec(GRID_AXES[:3])}, optional=FIELD
+    ),
+    "propagator": st.fixed_dictionaries(
+        {"extent": EXTENT4, "grid": grid_spec(GRID_AXES)}, optional=FIELD
+    ),
+    "wavelet": st.fixed_dictionaries(
+        {"extent": EXTENT4, "signal": SIGNAL_SPEC, "grid": grid_spec(GRID_AXES)}, optional=FIELD
+    ),
+    "pattern": st.fixed_dictionaries(
+        {
+            "s": st.one_of(st.floats(1.0, 4.0), NUMBER),
+            "a": st.one_of(st.floats(0.0, 1.0), NUMBER),
+            "r": POSITIVE,
+            "theta": THETA_SPEC,
+        },
+        optional=COMMON,
+    ),
+    "channel": st.fixed_dictionaries(
+        {
+            "channel": st.fixed_dictionaries({"emitter": ENDPOINT, "receiver": ENDPOINT}),
+            "signal": SIGNAL_SPEC,
+            "theta": THETA_SPEC,
+        },
+        optional=COMMON,
+    ),
+}
+
+
+def _paths(node, prefix=()):
+    """The key path of every value below the root of a JSON-like tree."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def fuzzed_config(draw, command):
+    config = draw(VALID_CONFIGS[command])
+    for _ in range(draw(st.integers(0, 2))):
+        path = draw(st.sampled_from(list(_paths(config))))
+        parent = config
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = draw(JUNK)
+    return config
+
+
+@pytest.mark.parametrize("command", sorted(VALID_CONFIGS))
+def test_fuzzed_configs_end_with_a_documented_exit_code(tmp_path, command):
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(config=fuzzed_config(command))
+    def check(config):
+        out = tmp_path / "out.csv"
+        out.unlink(missing_ok=True)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code, _ = run_cli(tmp_path, command, config)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in stderr.getvalue()
+        if code:
+            assert len(stderr.getvalue().splitlines()) == 1
+            return
+        text = out.read_text().lower()
+        assert "nan" not in text and "inf" not in text
+        if command == "channel":
+            json.loads(stdout.getvalue(), parse_constant=lambda name: pytest.fail(name))
+
+    check()

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from pulsebeam import (
     AccuracyError,
-    ComplexTime,
     DeltaDerivative,
     DomainError,
     GaussianPulse,
@@ -18,7 +17,7 @@ from pulsebeam import (
     jump_of_signal,
     spectral_signal,
 )
-from pulsebeam.signals import richardson_limit, validate_eps_ladder
+from pulsebeam.signals import DEFAULT_EPS_LADDER, MAX_DELTA_ORDER, richardson_limit
 
 TWO_PI_I = 2j * math.pi
 
@@ -40,9 +39,20 @@ def test_first_derivative_at_minus_i():
 
 
 def test_impulse_accepts_complex_time_wrapper():
-    assert analytic_signal(DeltaDerivative(0), ComplexTime(0.0, 1.0)) == pytest.approx(
+    # complex time is a plain complex number t - i s
+    assert analytic_signal(DeltaDerivative(0), 0 - 1j) == pytest.approx(
         1.0 / (2 * math.pi), rel=1e-15
     )
+
+
+@pytest.mark.parametrize(
+    "tau", [0.5 - 0.5j, 1e-3j, 100.0 - 1j], ids=["inf", "zero-power", "power-overflow"]
+)
+def test_impulse_overflow_is_an_accuracy_error(tau):
+    # n!/tau^(n+1) at the top order: the quotient overflows, tau^(n+1)
+    # underflows to 0, or the power itself overflows
+    with pytest.raises(AccuracyError):
+        analytic_signal(DeltaDerivative(MAX_DELTA_ORDER), tau)
 
 
 def test_impulse_singular_origin():
@@ -272,13 +282,10 @@ def test_jump_requires_continuity():
 
 
 def test_eps_ladder_validation():
-    with pytest.raises(ValidationError):
-        jump_of_signal(GaussianPulse(), 0.0, eps_list=(0.1, 0.05))
-    with pytest.raises(ValidationError):
-        jump_of_signal(GaussianPulse(), 0.0, eps_list=(0.1, 0.2, 0.3))
-    with pytest.raises(ValidationError):
-        jump_of_signal(GaussianPulse(), 0.0, eps_list=(0.1, 0.05, -0.01))
-    validate_eps_ladder((3.0, 1.0, 0.1))
+    # the fixed ladder of every jump extrapolation: positive, strictly descending, >= 3 rungs
+    assert len(DEFAULT_EPS_LADDER) >= 3
+    assert all(e > 0.0 for e in DEFAULT_EPS_LADDER)
+    assert all(b < a for a, b in zip(DEFAULT_EPS_LADDER, DEFAULT_EPS_LADDER[1:]))
 
 
 def test_richardson_limit_on_polynomial():
