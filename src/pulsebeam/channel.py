@@ -31,15 +31,9 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from .errors import CausalityError, ConeViolationError, ValidationError
-from .propagator import _EIGHT_PI_SQ
+from .propagator import beam_profile
 from .signals import DrivingSignal
-from .spacetime import (
-    ConeStatus,
-    ConeVector,
-    RealEvent,
-    as_scalar,
-    cone_status,
-)
+from .spacetime import ConeVector, RealEvent, as_scalar, as_vec4
 from .wavelet import wavelet_eval
 
 
@@ -57,11 +51,11 @@ class Channel:
     receiver_extent: ConeVector
 
     def __post_init__(self):
-        total_space = tuple(
-            a + b for a, b in zip(self.emitter_extent.space, self.receiver_extent.space)
-        )
-        total_time = self.emitter_extent.time + self.receiver_extent.time
-        if cone_status(total_space, total_time) is not ConeStatus.INTERIOR:
+        try:
+            interior = self.combined_extent.is_interior
+        except ValidationError:  # the rounded sum left the cone
+            interior = False
+        if not interior:
             raise CausalityError(
                 "summed endpoint extension must be interior to the future cone; "
                 "two idealized point endpoints cannot form a link"
@@ -90,18 +84,6 @@ def channel_amplitude(ch: Channel, signal: DrivingSignal) -> complex:
     return wavelet_eval(signal, ch.separation, ch.combined_extent)
 
 
-def _vec4(values: Sequence[float], what: str) -> Tuple[float, ...]:
-    try:
-        vals = tuple(float(v) for v in values)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{what} must be 4 numbers, got {values!r}") from None
-    if len(vals) != 4:
-        raise ValidationError(f"{what} must have 4 components, got {len(vals)}")
-    if not all(math.isfinite(v) for v in vals):
-        raise ValidationError(f"{what} components must be finite, got {vals}")
-    return vals
-
-
 def channel_translate(ch: Channel, real_shift: Sequence[float], imag_shift: Sequence[float]) -> Channel:
     """Equivalent link: both centers shifted by real_shift, extension moved by imag_shift.
 
@@ -109,8 +91,8 @@ def channel_translate(ch: Channel, real_shift: Sequence[float], imag_shift: Sequ
     so separation and combined extension are unchanged.  Both new extents
     must remain admissible (interior or null).
     """
-    xi = _vec4(real_shift, "real translation")
-    eta = _vec4(imag_shift, "imaginary translation")
+    xi = as_vec4(real_shift, "real translation")
+    eta = as_vec4(imag_shift, "imaginary translation")
     new_extents = []
     for extent, sign, which in (
         (ch.emitter_extent, 1.0, "emitter"),
@@ -118,12 +100,13 @@ def channel_translate(ch: Channel, real_shift: Sequence[float], imag_shift: Sequ
     ):
         space = tuple(v + sign * d for v, d in zip(extent.space, eta[:3]))
         time = extent.time + sign * eta[3]
-        if cone_status(space, time) is ConeStatus.INVALID:
+        try:
+            new_extents.append(ConeVector(space, time))
+        except ValidationError:
             raise ConeViolationError(
                 f"translated {which} extent leaves the admissible cone states "
                 f"(space={space}, time={time:g})"
-            )
-        new_extents.append(ConeVector(space, time))
+            ) from None
     return Channel(
         ch.emitter_center.shifted(xi),
         new_extents[0],
@@ -180,7 +163,8 @@ def gain_scan(
     The emitter extension is held along the separation axis and the
     receiver extension tilted by theta in a fixed plane, so the combined
     extension has axis component emit_radius + receive_radius*cos(theta);
-    the far-zone peak (the t = separation slice) is
+    with s = emit_lag + receive_lag the far-zone peak (the t = separation
+    slice) is
 
         1 / (8 pi^2 separation (s - emit_radius - receive_radius cos theta)),
 
@@ -197,13 +181,11 @@ def gain_scan(
         raise CausalityError("endpoint extents must be interior (lag > radius)")
     if separation <= 0.0:
         raise ValidationError(f"separation must be positive, got {separation}")
-    total_lag = emit_lag + receive_lag
-    samples = []
-    for theta in theta_grid:
-        theta = as_scalar(theta, "tilt angle")
-        duration = total_lag - emit_radius - receive_radius * math.cos(theta)
-        samples.append((theta, 1.0 / (_EIGHT_PI_SQ * separation * duration)))
-    return tuple(samples)
+    # beam_profile's peak at lag s - emit_radius and radius receive_radius is this formula
+    profile = beam_profile(
+        emit_lag + receive_lag - emit_radius, receive_radius, separation, theta_grid
+    )
+    return tuple(zip(profile.theta, profile.peak))
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +221,7 @@ def channel_from_json(obj: dict) -> Channel:
         for field in ("center", "extent"):
             if field not in entry:
                 raise ValidationError(f"'{side}' is missing the '{field}' 4-vector")
-            parts[side, field] = _vec4(entry[field], f"{side} {field}")
+            parts[side, field] = as_vec4(entry[field], f"{side} {field}")
     return Channel(
         RealEvent(parts["emitter", "center"][:3], parts["emitter", "center"][3]),
         ConeVector(parts["emitter", "extent"][:3], parts["emitter", "extent"][3]),

@@ -339,8 +339,8 @@ def _run_pattern(config: dict, out: str) -> None:
     for key in ("s", "a", "r"):
         if key not in config:
             raise ValidationError(f"pattern config is missing '{key}'")
-    thetas = _theta_values(config, 0.0, math.pi, 181)
-    profile = beam_profile(*(_number(config[key], key) for key in ("s", "a", "r")), thetas)
+    s, a, r = (_number(config[key], key) for key in ("s", "a", "r"))
+    profile = beam_profile(s, a, r, _theta_values(config, 0.0, math.pi, 181))
     rows = [
         (format_float(th), format_float(d), format_float(f), format_float(pk))
         for th, d, f, pk in zip(profile.theta, profile.duration, profile.pattern, profile.peak)

@@ -28,7 +28,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .errors import DegenerateExtensionError, UndefinedDirectionError, ValidationError
+from .errors import (
+    AccuracyError,
+    DegenerateExtensionError,
+    UndefinedDirectionError,
+    ValidationError,
+)
 from .spacetime import as_vec3, dot3, norm3
 
 # Guard radius around the branch circle, relative to the extension radius.
@@ -77,6 +82,36 @@ class SpheroidalCoords:
     rho: float
 
 
+def _axis_frame(x: Sequence[float], y: Sequence[float], what: str = "observation offset"):
+    """Validated x and y, a = |y| > 0, r = |x| and the axis component x3 = x . y / a."""
+    x = as_vec3(x, what)
+    y = as_vec3(y, "extension vector")
+    a = norm3(y)
+    if a == 0.0:
+        raise DegenerateExtensionError(
+            "extension vector must be nonzero; the real-distance case is served "
+            "by a separate path"
+        )
+    return x, y, a, norm3(x), dot3(x, y) / a
+
+
+def _distance(a: float, r: float, x3: float, near_circle_tol: float) -> ComplexDistance:
+    """The root p - iq of r^2 - a^2 - 2 i a x3 with its on_cut and near_circle flags."""
+    if x3 == 0.0 and r < a:
+        p, q = 0.0, math.sqrt(a * a - r * r)
+        on_cut = True
+    else:
+        root = cmath.sqrt(complex(r * r - a * a, -2.0 * a * x3))
+        p, q = root.real, -root.imag
+        on_cut = False
+    magnitude = math.hypot(p, q)
+    if not magnitude < math.inf:  # inf or nan: r^2 or a^2 overflowed
+        raise AccuracyError(
+            f"complex distance at r = {r:g}, a = {a:g} overflows a float", value=complex(p, -q)
+        )
+    return ComplexDistance(p, q, on_cut=on_cut, near_circle=magnitude < near_circle_tol)
+
+
 def complex_distance(
     x: Sequence[float], y: Sequence[float], near_circle_tol: float | None = None
 ) -> ComplexDistance:
@@ -86,32 +121,16 @@ def complex_distance(
     nonnegative real part.  On the cut disk (x3 = 0, r < a) the value is
     the limit from the x3 -> 0+ side and on_cut is set.  near_circle is
     set when |p - iq| falls below near_circle_tol (default 1e-9 * a).
+    A root that overflows a float raises AccuracyError.
 
     A zero extension is rejected: the purely real distance is not a
     degenerate case of this routine but a separate code path in the
     field evaluators.
     """
-    x = as_vec3(x, "observation offset")
-    y = as_vec3(y, "extension vector")
-    a = norm3(y)
-    if a == 0.0:
-        raise DegenerateExtensionError(
-            "extension vector must be nonzero; the real-distance case is served "
-            "by a separate path"
-        )
+    _, _, a, r, x3 = _axis_frame(x, y)
     if near_circle_tol is None:
         near_circle_tol = NEAR_CIRCLE_REL_TOL * a
-    r = norm3(x)
-    x3 = dot3(x, y) / a
-    if x3 == 0.0 and r < a:
-        p, q = 0.0, math.sqrt(a * a - r * r)
-        on_cut = True
-    else:
-        root = cmath.sqrt(complex(r * r - a * a, -2.0 * a * x3))
-        p, q = root.real, -root.imag
-        on_cut = False
-    near = math.hypot(p, q) < near_circle_tol
-    return ComplexDistance(p, q, on_cut=on_cut, near_circle=near)
+    return _distance(a, r, x3, near_circle_tol)
 
 
 def _transverse_frame(yhat: Sequence[float]):
@@ -137,12 +156,10 @@ def spheroidal_coords(x: Sequence[float], y: Sequence[float]) -> SpheroidalCoord
     phi is the azimuth of the component of x orthogonal to y, measured in a
     deterministic transverse frame, and 0 when x sits on the axis.
     """
-    dist = complex_distance(x, y)
-    x = as_vec3(x, "observation offset")
-    y = as_vec3(y, "extension vector")
-    a = norm3(y)
+    x, y, a, r, axial = _axis_frame(x, y)
+    dist = _distance(a, r, axial, NEAR_CIRCLE_REL_TOL * a)
     yhat = tuple(v / a for v in y)
-    r = norm3(x)
+    # x . yhat, not axial: the two can differ in the last bit
     x3 = dot3(x, yhat)
     rho = math.sqrt(max(r * r - x3 * x3, 0.0))
     if rho == 0.0:
@@ -163,14 +180,8 @@ def branch_classify(x: Sequence[float], y: Sequence[float], tol: float) -> Branc
     tol = float(tol)
     if not (tol >= 0.0) or not math.isfinite(tol):
         raise ValidationError(f"classification tolerance must be finite and >= 0, got {tol}")
-    x = as_vec3(x, "observation offset")
-    y = as_vec3(y, "extension vector")
-    a = norm3(y)
-    if a == 0.0:
-        raise DegenerateExtensionError("extension vector must be nonzero")
-    r = norm3(x)
-    x3 = dot3(x, y) / a
-    dist = complex_distance(x, y)
+    _, _, a, r, x3 = _axis_frame(x, y)
+    dist = _distance(a, r, x3, NEAR_CIRCLE_REL_TOL * a)
     if dist.magnitude < tol or dist.magnitude == 0.0:
         return BranchRegion.ON_CIRCLE
     # x3 == 0.0 keeps the cut itself classified when tol is 0
@@ -185,12 +196,7 @@ def far_zone_distance(x: Sequence[float], y: Sequence[float]) -> complex:
     No accuracy is guaranteed unless r >> a; the deviation from the exact
     complex distance scales as a^2/r at fixed direction.
     """
-    x = as_vec3(x, "observation offset")
-    y = as_vec3(y, "extension vector")
-    a = norm3(y)
-    if a == 0.0:
-        raise DegenerateExtensionError("extension vector must be nonzero")
-    r = norm3(x)
+    x, y, a, r, _ = _axis_frame(x, y)
     if r == 0.0:
         raise UndefinedDirectionError(
             "far-zone distance needs a direction; the observation offset is zero"
@@ -203,14 +209,8 @@ def segment_crosses_cut(
     p0: Sequence[float], p1: Sequence[float], y: Sequence[float]
 ) -> bool:
     """True when the straight segment p0 -> p1 meets the branch-cut disk of y."""
-    p0 = as_vec3(p0, "segment start")
-    p1 = as_vec3(p1, "segment end")
-    y = as_vec3(y, "extension vector")
-    a = norm3(y)
-    if a == 0.0:
-        raise DegenerateExtensionError("extension vector must be nonzero")
-    s0 = dot3(p0, y) / a
-    s1 = dot3(p1, y) / a
+    p0, y, a, r0, s0 = _axis_frame(p0, y, "segment start")
+    p1, _, _, r1, s1 = _axis_frame(p1, y, "segment end")
     if s0 == 0.0 and s1 == 0.0:
         # Segment lies in the cut plane: meets the disk iff it comes within a
         # of the origin.
@@ -220,9 +220,9 @@ def segment_crosses_cut(
         closest = tuple(c + lam * e for c, e in zip(p0, d))
         return norm3(closest) <= a
     if s0 == 0.0:
-        return norm3(p0) <= a
+        return r0 <= a
     if s1 == 0.0:
-        return norm3(p1) <= a
+        return r1 <= a
     if (s0 > 0.0) == (s1 > 0.0):
         return False
     lam = s0 / (s0 - s1)

@@ -19,11 +19,12 @@ eccentricity a/s with one focus at the origin and has no sidelobes.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from .errors import CausalityError, SingularityProximityError, ValidationError
+from .errors import AccuracyError, CausalityError, SingularityProximityError, ValidationError
 from .geometry import ComplexDistance, complex_distance
 from .spacetime import as_scalar, as_vec3, norm3
 
@@ -37,6 +38,14 @@ def _require_interior(s: float, a: float) -> None:
         )
 
 
+def _reciprocal(denominator: complex, what: str) -> complex:
+    """1/denominator; a denominator that underflowed to 0 or a quotient that overflows is refused."""
+    value = 1.0 / denominator if denominator else math.inf
+    if not cmath.isfinite(value):
+        raise AccuracyError(f"{what} 1/({denominator}) overflows a float", value=value)
+    return value
+
+
 def _impulse_field(dist: ComplexDistance, t: float, s: float) -> complex:
     """1/(8 i pi^2 rt (tau - rt)) at rt = dist.value, tau = t - i s; the caller checks s > a."""
     if dist.near_circle:
@@ -45,7 +54,7 @@ def _impulse_field(dist: ComplexDistance, t: float, s: float) -> complex:
         )
     rt = dist.value
     tau = complex(t, -s)
-    return 1.0 / (8j * math.pi * math.pi * rt * (tau - rt))
+    return _reciprocal(8j * math.pi * math.pi * rt * (tau - rt), "propagator")
 
 
 def extended_propagator(x: Sequence[float], y: Sequence[float], t: float, s: float) -> complex:
@@ -53,7 +62,8 @@ def extended_propagator(x: Sequence[float], y: Sequence[float], t: float, s: flo
 
     Requires an interior extension (s > |y| > 0) and an evaluation point
     away from the branch circle.  The purely real case y = 0 is refused:
-    its boundary value is a distribution, not a pointwise field.
+    its boundary value is a distribution, not a pointwise field.  A value
+    that overflows a float raises AccuracyError.
     """
     t = as_scalar(t, "time")
     s = as_scalar(s, "extension lag")
@@ -63,7 +73,10 @@ def extended_propagator(x: Sequence[float], y: Sequence[float], t: float, s: flo
 
 
 def far_zone_propagator(r: float, theta: float, t: float, s: float, a: float) -> complex:
-    """Far-zone beam form at radius r and polar angle theta off the beam axis."""
+    """Far-zone beam form at radius r and polar angle theta off the beam axis.
+
+    A value that overflows a float raises AccuracyError.
+    """
     r = as_scalar(r, "radius")
     theta = as_scalar(theta, "polar angle")
     t = as_scalar(t, "time")
@@ -75,7 +88,7 @@ def far_zone_propagator(r: float, theta: float, t: float, s: float, a: float) ->
         raise ValidationError(f"extension radius must be nonnegative, got {a}")
     _require_interior(s, a)
     denominator = complex(t - r, -(s - a * math.cos(theta)))
-    return 1.0 / (8j * math.pi * math.pi * r * denominator)
+    return _reciprocal(8j * math.pi * math.pi * r * denominator, "far-zone propagator")
 
 
 @dataclass(frozen=True)
@@ -98,7 +111,8 @@ class BeamProfile:
 def beam_profile(s: float, a: float, r: float, theta_grid: Sequence[float]) -> BeamProfile:
     """Sample duration, angular pattern, and peak amplitude over theta_grid.
 
-    The peak uses the far-zone form and is approximate at moderate r.
+    The peak uses the far-zone form and is approximate at moderate r.  A
+    peak that over- or underflows a float raises AccuracyError.
     """
     s = as_scalar(s, "extension lag")
     a = as_scalar(a, "extension radius")
@@ -111,7 +125,7 @@ def beam_profile(s: float, a: float, r: float, theta_grid: Sequence[float]) -> B
     thetas = tuple(as_scalar(th, "polar angle") for th in theta_grid)
     durations = tuple(s - a * math.cos(th) for th in thetas)
     patterns = tuple(1.0 / (_EIGHT_PI_SQ * d) for d in durations)
-    peaks = tuple(1.0 / (_EIGHT_PI_SQ * r * d) for d in durations)
+    peaks = tuple(_reciprocal(_EIGHT_PI_SQ * r * d, "beam peak") for d in durations)
     return BeamProfile(
         theta=thetas,
         duration=durations,

@@ -18,16 +18,24 @@ from .errors import ValidationError
 Vec3 = Tuple[float, float, float]
 
 
-def as_vec3(values: Sequence[float], what: str = "vector") -> Vec3:
+def _as_vec(values: Sequence[float], n: int, what: str) -> Tuple[float, ...]:
     try:
-        vals = tuple(float(v) for v in values)
+        vals = tuple(map(float, values))
     except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{what} must be 3 numbers, got {values!r}") from None
-    if len(vals) != 3:
-        raise ValidationError(f"{what} must have exactly 3 components, got {len(vals)}")
-    if not all(math.isfinite(v) for v in vals):
+        raise ValidationError(f"{what} must be {n} numbers, got {values!r}") from None
+    if len(vals) != n:
+        raise ValidationError(f"{what} must have exactly {n} components, got {len(vals)}")
+    if not all(map(math.isfinite, vals)):
         raise ValidationError(f"{what} components must be finite, got {vals}")
     return vals
+
+
+def as_vec3(values: Sequence[float], what: str = "vector") -> Vec3:
+    return _as_vec(values, 3, what)
+
+
+def as_vec4(values: Sequence[float], what: str = "4-vector") -> Tuple[float, ...]:
+    return _as_vec(values, 4, what)
 
 
 def as_scalar(value: float, what: str = "scalar") -> float:
@@ -97,9 +105,7 @@ class RealEvent:
 
     def shifted(self, delta: Sequence[float]) -> "RealEvent":
         """Translate by a 4-vector (dx1, dx2, dx3, dt)."""
-        d = tuple(float(v) for v in delta)
-        if len(d) != 4:
-            raise ValidationError(f"translation must have 4 components, got {len(d)}")
+        d = as_vec4(delta, "translation")
         return RealEvent(tuple(a + b for a, b in zip(self.space, d[:3])), self.time + d[3])
 
 

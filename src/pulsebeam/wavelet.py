@@ -126,13 +126,9 @@ def boundary_jump(signal: DrivingSignal, x: RealEvent, y: ConeVector) -> complex
     return limit
 
 
-def _check_stencil(x: RealEvent, y: ConeVector, h: float, guard_tol: float) -> None:
-    points = [x.space]
-    for axis in range(3):
-        for sign in (-1.0, 1.0):
-            shifted = list(x.space)
-            shifted[axis] += sign * h
-            points.append(tuple(shifted))
+def _check_stencil(x: RealEvent, y: ConeVector, arms, guard_tol: float) -> None:
+    """Refuse a stencil whose points touch, or whose (lo, hi) arms cross, the singular set."""
+    points = [x.space, *(point for arm in arms for point in arm)]
     if y.radius == 0.0:
         if any(norm3(point) == 0.0 for point in points):
             raise StencilPlacementError("stencil touches the spatial origin")
@@ -142,12 +138,8 @@ def _check_stencil(x: RealEvent, y: ConeVector, h: float, guard_tol: float) -> N
             raise StencilPlacementError(
                 "finite-difference stencil touches the branch cut or circle"
             )
-    for axis in range(3):
-        lo = list(x.space)
-        hi = list(x.space)
-        lo[axis] -= h
-        hi[axis] += h
-        if segment_crosses_cut(tuple(lo), tuple(hi), y.space):
+    for lo, hi in arms:
+        if segment_crosses_cut(lo, hi, y.space):
             raise StencilPlacementError("finite-difference stencil crosses the branch cut")
 
 
@@ -166,8 +158,15 @@ def wave_residual(
     h = as_scalar(h, "stencil step")
     if h <= 0.0:
         raise DomainError(f"stencil step must be positive, got {h}")
+    arms = []
+    for axis in range(3):
+        lo = list(x.space)
+        hi = list(x.space)
+        lo[axis] -= h
+        hi[axis] += h
+        arms.append((tuple(lo), tuple(hi)))
     if guard:
-        _check_stencil(x, y, h, NEAR_CIRCLE_REL_TOL * max(y.radius, 1.0))
+        _check_stencil(x, y, arms, NEAR_CIRCLE_REL_TOL * max(y.radius, 1.0))
     _require_interior(y.time, y.radius)
 
     dist = _radial_distance(x.space, y.space)
@@ -178,11 +177,7 @@ def wave_residual(
         + _field(signal, dist, x.time - h, y.time)
     )
     laplacian = 0j
-    for axis in range(3):
-        lo = list(x.space)
-        hi = list(x.space)
-        lo[axis] -= h
-        hi[axis] += h
+    for lo, hi in arms:
         laplacian += (
             _field(signal, _radial_distance(hi, y.space), x.time, y.time)
             - 2.0 * center

@@ -69,6 +69,21 @@ def test_make_channel_rejects_two_point_endpoints():
         Channel(ORIGIN, ConeVector.null(), RealEvent((0, 0, 5), 5.0), ConeVector.null())
 
 
+def test_rounded_extent_sum_outside_the_cone_is_a_causality_error():
+    # both extents are interior by one ulp, but the rounded sum lies on or
+    # outside the cone, so summing them in ConeVector itself fails
+    emitter = ConeVector(
+        (0.5750852758702082, 0.39420636537403153, -0.6063723816669664), 0.9240179642585891
+    )
+    receiver = ConeVector(
+        (0.1650769099402814, 0.11315603338351075, -0.17405780192727988), 0.26523723814404004
+    )
+    with pytest.raises(ValidationError):
+        emitter + receiver
+    with pytest.raises(CausalityError):
+        Channel(ORIGIN, emitter, RealEvent((0, 0, 5), 5.0), receiver)
+
+
 def test_metrics_values():
     ch = Channel(
         ORIGIN,

@@ -550,3 +550,17 @@ def test_fuzzed_configs_end_with_a_documented_exit_code(tmp_path, command):
             json.loads(stdout.getvalue(), parse_constant=lambda name: pytest.fail(name))
 
     check()
+
+
+def test_pattern_converts_scalars_before_building_the_theta_axis(tmp_path, capsys, monkeypatch):
+    import pulsebeam.cli
+
+    def no_axis(*args, **kwargs):
+        raise AssertionError("theta axis built before 's' was converted")
+
+    monkeypatch.setattr(pulsebeam.cli, "_axis", no_axis)
+    code, out = run_cli(tmp_path, "pattern", {"s": "x", "a": 1.0, "r": 100.0})
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "'s'" in err
+    assert not out.exists()

@@ -42,8 +42,17 @@ def test_generic_point_against_principal_root_oracle():
 
 
 def test_zero_extension_rejected():
-    with pytest.raises(DegenerateExtensionError):
-        complex_distance((1, 0, 0), (0, 0, 0))
+    # every entry point shares one frame, so every one refuses y = 0
+    calls = (
+        complex_distance,
+        spheroidal_coords,
+        lambda x, y: branch_classify(x, y, 1e-3),
+        far_zone_distance,
+        lambda x, y: segment_crosses_cut(x, (0, 1, 0), y),
+    )
+    for call in calls:
+        with pytest.raises(DegenerateExtensionError):
+            call((1, 0, 0), (0, 0, 0))
 
 
 def test_sign_flip_across_cut():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pulsebeam import (
+    AccuracyError,
     CausalityError,
     DegenerateExtensionError,
     SingularityProximityError,
@@ -12,6 +13,7 @@ from pulsebeam import (
     complex_distance,
     extended_propagator,
     far_zone_propagator,
+    gain_scan,
 )
 
 EIGHT_PI_SQ = 8.0 * math.pi**2
@@ -130,3 +132,21 @@ def test_far_zone_consistency_at_large_radius():
         exact = extended_propagator(x, (0, 0, a), r, s)
         approx = far_zone_propagator(r, theta, r, s, a)
         assert abs(exact - approx) / abs(approx) <= 0.02
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: complex_distance((1.4e154, 0, 0), (0, 0, 1)),
+        lambda: extended_propagator((0, 0, 1e-160), (0, 0, 1e-160), 0, 3e-160),
+        lambda: far_zone_propagator(1e-200, 0, 1e-200, 1e-200, 0),
+        lambda: beam_profile(5.7e-232, 0, 5.7e-232, [0]),
+        lambda: gain_scan(0, 5.7e-232, 0, 5.7e-232, 5.7e-232, [0]),
+    ],
+    ids=["distance-overflow", "propagator-overflow", "far-zone-underflow",
+         "beam-peak-underflow", "gain-scan-underflow"],
+)
+def test_non_finite_results_are_accuracy_errors(call):
+    # r*r overflows, or the denominator under- or overflows: no inf, nan or bare ZeroDivisionError
+    with pytest.raises(AccuracyError):
+        call()

@@ -64,6 +64,9 @@ def test_real_event_validation_and_difference():
 def test_real_event_shifted():
     moved = RealEvent((1, 0, 0), 2.0).shifted((0.5, -1.0, 0.0, 3.0))
     assert moved.space == (1.5, -1.0, 0.0) and moved.time == 5.0
+    for bad in (("a", 0, 0, 0), 5, (1, 2, 3)):
+        with pytest.raises(ValidationError):
+            RealEvent((1, 0, 0), 2.0).shifted(bad)
 
 
 def test_tube_difference_sums_extensions():
