@@ -27,11 +27,11 @@ where separation and both extensions are parallel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
 from .errors import CausalityError, ConeViolationError, ValidationError
-from .propagator import beam_profile
+from .propagator import _beam_peaks
 from .signals import DrivingSignal
 from .spacetime import ConeVector, RealEvent, as_scalar, as_vec4
 from .wavelet import wavelet_eval
@@ -42,32 +42,31 @@ class Channel:
     """An emitter endpoint and a receiver endpoint forming one transmission link.
 
     Either endpoint may be an idealized point (null extent); their summed
-    extent must be interior, otherwise CausalityError is raised.
+    extent must be interior, otherwise CausalityError is raised.  The sum
+    is built and checked once, here, and kept as combined_extent.
     """
 
     emitter_center: RealEvent
     emitter_extent: ConeVector
     receiver_center: RealEvent
     receiver_extent: ConeVector
+    combined_extent: ConeVector = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
-            interior = self.combined_extent.is_interior
+            combined = self.emitter_extent + self.receiver_extent
         except ValidationError:  # the rounded sum left the cone
-            interior = False
-        if not interior:
+            combined = None
+        if combined is None or not combined.is_interior:
             raise CausalityError(
                 "summed endpoint extension must be interior to the future cone; "
                 "two idealized point endpoints cannot form a link"
             )
+        object.__setattr__(self, "combined_extent", combined)
 
     @property
     def separation(self) -> RealEvent:
         return self.receiver_center - self.emitter_center
-
-    @property
-    def combined_extent(self) -> ConeVector:
-        return self.emitter_extent + self.receiver_extent
 
     @property
     def aperture(self) -> float:
@@ -181,11 +180,11 @@ def gain_scan(
         raise CausalityError("endpoint extents must be interior (lag > radius)")
     if separation <= 0.0:
         raise ValidationError(f"separation must be positive, got {separation}")
-    # beam_profile's peak at lag s - emit_radius and radius receive_radius is this formula
-    profile = beam_profile(
+    # the beam peak at lag s - emit_radius and radius receive_radius is this formula
+    thetas, _, peaks, _ = _beam_peaks(
         emit_lag + receive_lag - emit_radius, receive_radius, separation, theta_grid
     )
-    return tuple(zip(profile.theta, profile.peak))
+    return tuple(zip(thetas, peaks))
 
 
 # ---------------------------------------------------------------------------

@@ -108,11 +108,10 @@ class BeamProfile:
     eccentricity: float
 
 
-def beam_profile(s: float, a: float, r: float, theta_grid: Sequence[float]) -> BeamProfile:
-    """Sample duration, angular pattern, and peak amplitude over theta_grid.
+def _beam_peaks(s: float, a: float, r: float, theta_grid: Sequence[float]):
+    """Validated angles, durations s - a cos(theta), far-zone peaks 1/(8 pi^2 r duration), a/s.
 
-    The peak uses the far-zone form and is approximate at moderate r.  A
-    peak that over- or underflows a float raises AccuracyError.
+    A peak that over- or underflows a float raises AccuracyError.
     """
     s = as_scalar(s, "extension lag")
     a = as_scalar(a, "extension radius")
@@ -124,12 +123,22 @@ def beam_profile(s: float, a: float, r: float, theta_grid: Sequence[float]) -> B
     _require_interior(s, a)
     thetas = tuple(as_scalar(th, "polar angle") for th in theta_grid)
     durations = tuple(s - a * math.cos(th) for th in thetas)
-    patterns = tuple(1.0 / (_EIGHT_PI_SQ * d) for d in durations)
     peaks = tuple(_reciprocal(_EIGHT_PI_SQ * r * d, "beam peak") for d in durations)
+    return thetas, durations, peaks, a / s
+
+
+def beam_profile(s: float, a: float, r: float, theta_grid: Sequence[float]) -> BeamProfile:
+    """Sample duration, angular pattern, and peak amplitude over theta_grid.
+
+    The peak uses the far-zone form and is approximate at moderate r.  A
+    peak or pattern value that over- or underflows a float raises
+    AccuracyError.
+    """
+    thetas, durations, peaks, eccentricity = _beam_peaks(s, a, r, theta_grid)
     return BeamProfile(
         theta=thetas,
         duration=durations,
-        pattern=patterns,
+        pattern=tuple(_reciprocal(_EIGHT_PI_SQ * d, "beam pattern") for d in durations),
         peak=peaks,
-        eccentricity=a / s,
+        eccentricity=eccentricity,
     )

@@ -18,11 +18,14 @@ which this module evaluates as an independent second route.  The two
 routes agree identically on the Cauchy kernel (g0 = delta), which fixes
 both the transform convention and the overall sign.
 
-Three signal families are provided: derivatives of the delta impulse
-(closed form), Gaussian pulses, and sampled waveforms with linear
-interpolation between samples and zero outside.  Quadratures are adaptive
-Gauss-Kronrod on the (truncated) support, run well below the requested
-target so the achieved estimate can be checked against it.
+Three signal families are provided, each evaluating its own analytic
+signal and spectrum: derivatives of the delta impulse (closed forms),
+Gaussian pulses (Cauchy integral by adaptive Gauss-Kronrod quadrature on
+the truncated support, run well below the requested target so the
+achieved estimate can be checked against it), and sampled waveforms with
+linear interpolation between samples and zero outside (the exact Cauchy
+integral of the interpolant, a sum of one logarithm per segment, with a
+rounding-error bound checked against the same target).
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import bisect
 import cmath
 import csv
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Sequence, Tuple
@@ -60,6 +64,14 @@ MAX_DELTA_ORDER = 170
 
 _TWO_PI = 2.0 * math.pi
 
+# A sampled segment with |u| = |length / (tau - t0)| below this radius is
+# summed as a power series in u, which avoids the cancellation in
+# Log(1/(1 - u))/u - 1 (see _psi_series).
+_SERIES_RADIUS = 1e-2
+
+# Roundings charged per term of the sampled rounding-error bound.
+_ROUNDING = 8.0 * sys.float_info.epsilon
+
 
 class DrivingSignal:
     """Base class of the admissible driving-signal variants."""
@@ -77,6 +89,14 @@ class DrivingSignal:
         raise NotImplementedError
 
     def is_continuous_at(self, t: float) -> bool:
+        raise NotImplementedError
+
+    def analytic(self, z: complex) -> complex:
+        """Analytic signal g(z) at a finite z off the support (analytic_signal checks z)."""
+        raise NotImplementedError
+
+    def spectrum(self, omega: float) -> complex:
+        """ghat0(omega) = integral g0(t) exp(+i omega t) dt."""
         raise NotImplementedError
 
 
@@ -108,6 +128,17 @@ class DeltaDerivative(DrivingSignal):
     def is_continuous_at(self, t: float) -> bool:
         return float(t) != 0.0
 
+    def analytic(self, z: complex) -> complex:
+        """(-1)^n n! / (2 pi i z^(n+1)); inf where the power or the quotient leaves the floats."""
+        n = self.order
+        try:
+            return (-1.0) ** n * math.factorial(n) / (2j * math.pi * z ** (n + 1))
+        except (OverflowError, ZeroDivisionError):
+            return complex(math.inf)
+
+    def spectrum(self, omega: float) -> complex:
+        return (-1j * omega) ** self.order
+
 
 @dataclass(frozen=True)
 class GaussianPulse(DrivingSignal):
@@ -137,6 +168,18 @@ class GaussianPulse(DrivingSignal):
 
     def is_continuous_at(self, t: float) -> bool:
         return True
+
+    def analytic(self, z: complex) -> complex:
+        return _cauchy_quadrature(self, z)
+
+    def spectrum(self, omega: float) -> complex:
+        sig = self.width
+        return (
+            self.amplitude
+            * sig
+            * math.sqrt(_TWO_PI)
+            * cmath.exp(complex(-0.5 * sig * sig * omega * omega, omega * self.center))
+        )
 
 
 @dataclass(frozen=True)
@@ -209,10 +252,64 @@ class SampledSignal(DrivingSignal):
             return self.values[-1] == 0.0
         return True
 
+    def analytic(self, z: complex) -> complex:
+        value, estimate = self._cauchy_sum(z)
+        return _check_accuracy(value, estimate, self.peak_scale(), "sampled analytic signal")
+
+    def _cauchy_sum(self, z: complex) -> Tuple[complex, float]:
+        """Exact Cauchy integral of the interpolant at z, and a bound on its rounding error.
+
+        A segment [t0, t1] of length L rising by dv contributes
+        v0 phi + dv psi, with u = L/(z - t0), phi = Log((z - t0)/(z - t1))
+        = -Log(1 - u) and psi = phi/u - 1; for small |u| both come from
+        the series psi = sum u^n/(n+1), phi = u (1 + psi).  Off the real
+        axis, and on it outside [t0, t1], the ratio stays off the cut of
+        the principal Log.  The bound charges each term a few roundings
+        of its size and the log route the cancellation in phi/u - 1,
+        whose absolute error is about eps (1 + |phi|)/|u|.
+        """
+        total = 0j
+        bound = 0.0
+        for t0, t1, v0, v1 in zip(self.times, self.times[1:], self.values, self.values[1:]):
+            w = z - t0
+            u = (t1 - t0) / w
+            size = abs(u)
+            if size < _SERIES_RADIUS:
+                psi = _psi_series(u)
+                phi = u * (1.0 + psi)
+                phi_err = abs(phi)
+                psi_err = abs(psi)
+            else:
+                phi = cmath.log(w / (z - t1))
+                psi = phi / u - 1.0
+                phi_err = 1.0 + abs(phi)
+                psi_err = abs(psi) + phi_err / size
+            dv = v1 - v0
+            total += v0 * phi + dv * psi
+            bound += abs(v0) * phi_err + abs(dv) * psi_err
+        return total / (2j * math.pi), _ROUNDING * bound / _TWO_PI
+
+    def spectrum(self, omega: float) -> complex:
+        """Exact transform of the piecewise-linear interpolant."""
+        total = 0j
+        for k in range(len(self.times) - 1):
+            t0, t1 = self.times[k], self.times[k + 1]
+            v0, v1 = self.values[k], self.values[k + 1]
+            length = t1 - t0
+            e1, e2 = _phase_integrals(omega * length)
+            total += cmath.exp(1j * omega * t0) * length * (v0 * e1 + (v1 - v0) * e2)
+        return total
+
 
 # ---------------------------------------------------------------------------
 # transform
 # ---------------------------------------------------------------------------
+
+
+def _psi_series(u: complex) -> complex:
+    """sum_{n>=1} u^n/(n+1) = -Log(1 - u)/u - 1 for |u| < _SERIES_RADIUS (u^11/12 dropped)."""
+    return u * (1/2 + u * (1/3 + u * (1/4 + u * (1/5 + u * (1/6 + u * (
+        1/7 + u * (1/8 + u * (1/9 + u * (1/10 + u / 11)))))))))
 
 
 def _phase_integrals(u: float) -> Tuple[complex, complex]:
@@ -235,27 +332,7 @@ def fourier_transform(signal: DrivingSignal, omega: float) -> complex:
     Closed forms for all three signal families; sampled signals use the
     exact transform of their piecewise-linear interpolant.
     """
-    omega = as_scalar(omega, "angular frequency")
-    if isinstance(signal, DeltaDerivative):
-        return (-1j * omega) ** signal.order
-    if isinstance(signal, GaussianPulse):
-        sig = signal.width
-        return (
-            signal.amplitude
-            * sig
-            * math.sqrt(_TWO_PI)
-            * cmath.exp(complex(-0.5 * sig * sig * omega * omega, omega * signal.center))
-        )
-    if isinstance(signal, SampledSignal):
-        total = 0j
-        for k in range(len(signal.times) - 1):
-            t0, t1 = signal.times[k], signal.times[k + 1]
-            v0, v1 = signal.values[k], signal.values[k + 1]
-            length = t1 - t0
-            e1, e2 = _phase_integrals(omega * length)
-            total += cmath.exp(1j * omega * t0) * length * (v0 * e1 + (v1 - v0) * e2)
-        return total
-    raise ValidationError(f"unsupported signal type {type(signal).__name__}")
+    return signal.spectrum(as_scalar(omega, "angular frequency"))
 
 
 # ---------------------------------------------------------------------------
@@ -295,29 +372,24 @@ def _check_accuracy(value: complex, estimate: float, scale: float, what: str) ->
 def analytic_signal(signal: DrivingSignal, tau: complex) -> complex:
     """Analytic signal g(tau) of a driving signal at complex time tau = t - i s.
 
-    Impulse derivatives use the closed form (-1)^n n! / (2 pi i tau^(n+1));
-    the other families are integrated adaptively over their truncated
-    support, split at the real part of tau.  A real tau is accepted only
-    where the signal vanishes, i.e. where the two boundary values coincide.
-    A value that is not a finite float (the closed form overflows at high
-    orders) raises AccuracyError.
+    Impulse derivatives use the closed form (-1)^n n! / (2 pi i tau^(n+1)),
+    sampled signals the exact Cauchy integral of their linear interpolant,
+    and Gaussian pulses adaptive quadrature over their truncated support,
+    split at the real part of tau.  A real tau is accepted only where the
+    signal vanishes, i.e. where the two boundary values coincide.  A value
+    whose error estimate misses DEFAULT_REL_TOL, or that is not a finite
+    float (the closed form overflows at high orders), raises AccuracyError.
     """
     z = complex(tau)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValidationError(f"complex time must be finite, got {z}")
-
-    if isinstance(signal, DeltaDerivative):
-        if z == 0:
-            raise NonAnalyticPointError(
-                "the analytic signal of an impulse derivative is singular at tau = 0"
-            )
-        n = signal.order
-        try:
-            value = (-1.0) ** n * math.factorial(n) / (2j * math.pi * z ** (n + 1))
-        except (OverflowError, ZeroDivisionError):
-            value = complex(math.inf)
-    else:
-        value = _cauchy_quadrature(signal, z)
+    lo, hi = signal.effective_support()
+    if z.imag == 0.0 and lo <= z.real <= hi:
+        raise NonAnalyticPointError(
+            f"analytic signal requested at tau = {z.real:g} on the real axis inside the "
+            f"signal support [{lo:g}, {hi:g}]; it has no single value there"
+        )
+    value = signal.analytic(z)
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise AccuracyError(
             f"analytic signal at tau = {z} does not evaluate to a finite float", value=value
@@ -326,13 +398,12 @@ def analytic_signal(signal: DrivingSignal, tau: complex) -> complex:
 
 
 def _cauchy_quadrature(signal: DrivingSignal, z: complex) -> complex:
-    """The Cauchy integral of a signal with a pointwise value, by adaptive quadrature."""
+    """The Cauchy integral of a signal with a pointwise value, by adaptive quadrature.
+
+    The Gaussian route, and the tests' oracle for the sampled closed form;
+    z must lie off the support (analytic_signal checks it).
+    """
     lo, hi = signal.effective_support()
-    if z.imag == 0.0 and lo <= z.real <= hi:
-        raise NonAnalyticPointError(
-            "analytic signal requested on the real axis inside the signal support "
-            f"[{lo:g}, {hi:g}]; it is defined there only as a pair of boundary values"
-        )
 
     def integrand(tp: float) -> complex:
         return signal.amplitude_at(tp) / (z - tp)

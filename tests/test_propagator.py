@@ -142,11 +142,14 @@ def test_far_zone_consistency_at_large_radius():
         lambda: far_zone_propagator(1e-200, 0, 1e-200, 1e-200, 0),
         lambda: beam_profile(5.7e-232, 0, 5.7e-232, [0]),
         lambda: gain_scan(0, 5.7e-232, 0, 5.7e-232, 5.7e-232, [0]),
+        lambda: beam_profile(1e-323, 0, 1e20, [0.0]),
     ],
     ids=["distance-overflow", "propagator-overflow", "far-zone-underflow",
-         "beam-peak-underflow", "gain-scan-underflow"],
+         "beam-peak-underflow", "gain-scan-underflow", "beam-pattern-overflow"],
 )
 def test_non_finite_results_are_accuracy_errors(call):
-    # r*r overflows, or the denominator under- or overflows: no inf, nan or bare ZeroDivisionError
+    # r*r overflows, or the denominator under- or overflows: no inf, nan or bare
+    # ZeroDivisionError; the last case has a finite peak 1/(8 pi^2 r d) at r = 1e20
+    # but an infinite pattern 1/(8 pi^2 d)
     with pytest.raises(AccuracyError):
         call()

@@ -17,7 +17,13 @@ from pulsebeam import (
     jump_of_signal,
     spectral_signal,
 )
-from pulsebeam.signals import DEFAULT_EPS_LADDER, MAX_DELTA_ORDER, richardson_limit
+from pulsebeam.signals import (
+    DEFAULT_EPS_LADDER,
+    DEFAULT_REL_TOL,
+    MAX_DELTA_ORDER,
+    _cauchy_quadrature,
+    richardson_limit,
+)
 
 TWO_PI_I = 2j * math.pi
 
@@ -214,6 +220,97 @@ def test_sampled_real_axis_outside_support():
     assert value == pytest.approx(just_below, rel=1e-3)
     with pytest.raises(NonAnalyticPointError):
         analytic_signal(sig, complex(1.0, 0.0))
+
+
+def seeded_wave(seed=5, count=41) -> SampledSignal:
+    """A jittered bump on [0, 4] with a random ripple of both signs, zero at both ends."""
+    rng = np.random.default_rng(seed)
+    times = np.linspace(0.0, 4.0, count)
+    times[1:-1] += rng.uniform(-0.3, 0.3, count - 2) * (times[1] - times[0])
+    values = np.sin(np.pi * times / 4.0) ** 2 * rng.uniform(0.7, 1.3, count)
+    values += rng.uniform(-0.3, 0.3, count)
+    values[0] = values[-1] = 0.0
+    return SampledSignal(tuple(map(float, times)), tuple(map(float, values)))
+
+
+def near_taus(rng, count):
+    """Taus over and around the support, |s| log-uniform in [1e-3, 10], both half-planes."""
+    depth = 10.0 ** rng.uniform(-3, 1, count) * rng.choice([-1.0, 1.0], count)
+    return [complex(t, -s) for t, s in zip(rng.uniform(-2.0, 6.0, count), depth)]
+
+
+def far_taus(rng, count):
+    """Taus with |Re tau| log-uniform in [1e2, 1e9] on both sides of the support."""
+    offset = 10.0 ** rng.uniform(2, 9, count) * rng.choice([-1.0, 1.0], count)
+    depth = 10.0 ** rng.uniform(-3, 1, count) * rng.choice([-1.0, 1.0], count)
+    return [complex(2.0 + t, -s) for t, s in zip(offset, depth)]
+
+
+def relative_error(value, reference):
+    return abs(value - reference) / abs(reference)
+
+
+ORACLE_TAUS = {"near": (near_taus, 200), "far": (far_taus, 50)}
+REAL_TAUS_OUTSIDE = (-3.0, -1e-3, 4.001, 50.0, 1e7)
+
+
+def oracle_taus(kind):
+    taus, count = ORACLE_TAUS[kind]
+    return taus(np.random.default_rng(17), count)
+
+
+@pytest.mark.parametrize("kind", ORACLE_TAUS)
+def test_sampled_closed_form_matches_quadrature_oracle(kind):
+    sig = seeded_wave()
+    worst = max(
+        relative_error(analytic_signal(sig, z), _cauchy_quadrature(sig, z))
+        for z in oracle_taus(kind)
+    )
+    assert worst <= 1e-11
+
+
+def test_sampled_closed_form_on_the_real_axis_outside_the_support():
+    sig = seeded_wave()
+    for t in REAL_TAUS_OUTSIDE:
+        z = complex(t, 0.0)
+        assert relative_error(analytic_signal(sig, z), _cauchy_quadrature(sig, z)) <= 1e-11
+    for t in (0.0, 1.0, sig.times[7], 4.0):
+        with pytest.raises(NonAnalyticPointError):
+            analytic_signal(sig, complex(t, 0.0))
+
+
+def exact_cauchy_sum(sig, z, mpmath):
+    """The segment sum at 50 digits, where the cancellation in
+    (v0 + m (z - t0)) Log((z - t0)/(z - t1)) - m L does not matter."""
+    with mpmath.workdps(50):
+        zm = mpmath.mpc(z.real, z.imag)
+        total = 0
+        for t0, t1, v0, v1 in zip(sig.times, sig.times[1:], sig.values, sig.values[1:]):
+            t0, t1, v0, v1 = map(mpmath.mpf, (t0, t1, v0, v1))
+            slope = (v1 - v0) / (t1 - t0)
+            total += (v0 + slope * (zm - t0)) * mpmath.log((zm - t0) / (zm - t1)) - (v1 - v0)
+        return complex(total / (2j * mpmath.pi))
+
+
+@pytest.mark.parametrize(
+    "sig, points",
+    [
+        (seeded_wave(), oracle_taus("near") + oracle_taus("far")
+         + [complex(t, 0.0) for t in REAL_TAUS_OUTSIDE]),
+        # one segment of length 1 seen from |u| = 1/|tau| in [1e-2, 0.1]: the log
+        # route, where phi/u - 1 cancels and the v0 term is absent
+        (SampledSignal((0.0, 1.0), (0.0, 1.0)),
+         [complex(t, s) for t in range(10, 100, 3) for s in (-1.0, 0.5)]),
+    ],
+    ids=["seeded-wave", "ramp"],
+)
+def test_sampled_rounding_bound_covers_the_observed_error(sig, points):
+    mpmath = pytest.importorskip("mpmath")
+    for z in points:
+        exact = exact_cauchy_sum(sig, z, mpmath)
+        value, estimate = sig._cauchy_sum(z)
+        assert abs(value - exact) <= estimate
+        assert estimate <= DEFAULT_REL_TOL * abs(exact)  # and never trips the accuracy check
 
 
 def test_sampled_halves_connect_across_support_gap():
