@@ -52,7 +52,7 @@ from .channel import (
     gain_scan,
 )
 from .errors import AccuracyError, PulsebeamError, SingularityProximityError, ValidationError
-from .geometry import complex_distance
+from .geometry import _tolerance, complex_distance
 from .propagator import _impulse_field, beam_profile
 from .signals import DeltaDerivative, DrivingSignal, GaussianPulse, SampledSignal
 from .spacetime import ConeVector, norm3
@@ -225,7 +225,7 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[str]]) -
 
 def _near_circle_tol(config: dict):
     tol = config.get("near_circle_tol")
-    return None if tol is None else _number(tol, "near_circle_tol")
+    return None if tol is None else _tolerance(_number(tol, "near_circle_tol"), "'near_circle_tol'")
 
 
 def _write_grid(

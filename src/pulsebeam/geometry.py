@@ -18,15 +18,34 @@ single-valued by cutting along the spanning disk r <= a, x3 = 0, across
 which it flips sign.  On the cut itself this module returns the limit
 from the x3 -> 0+ side, i.e. p = 0, q = +sqrt(a^2 - r^2), and flags the
 point so callers can avoid relying on cut values.
+
+The public functions evaluate one point.  `_distance_block(x, y)`
+evaluates (n, 3) blocks of offsets and extensions in numpy, and
+`_rho_block` gives the matching cylindrical radius of
+`spheroidal_coords`.  Their contract is bit identity: row k of every
+array they return equals, bit for bit, what `_axis_frame` and
+`_distance` (and `spheroidal_coords` for rho) give for row k, and they
+raise the scalar path's errors.  The kernel therefore repeats the scalar
+operations in the scalar order: `math.hypot` for the lengths (nested
+`np.hypot` rounds differently), the dot product summed left to right,
+the complex square built from its real and imaginary parts (complex
+multiplication rounds differently), and `_sqrt_block`, CPython's
+`cmath.sqrt` transcribed to arrays (the C library's `csqrt` behind
+`np.sqrt` rounds the imaginary part differently, for instance at r = a
+exactly).  The scalar `complex_distance` stays the public API and is the
+kernel's oracle in the tests.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
+
+import numpy as np
 
 from .errors import (
     AccuracyError,
@@ -34,7 +53,7 @@ from .errors import (
     UndefinedDirectionError,
     ValidationError,
 )
-from .spacetime import as_vec3, dot3, norm3
+from .spacetime import as_scalar, as_vec3, dot3, norm3
 
 # Guard radius around the branch circle, relative to the extension radius.
 # The fields diverge like 1/|p - iq| there; callers get a flag, not a NaN.
@@ -82,21 +101,35 @@ class SpheroidalCoords:
     rho: float
 
 
+_ZERO_EXTENSION = (
+    "extension vector must be nonzero; the real-distance case is served by a separate path"
+)
+
+
+def _tolerance(tol: float, what: str) -> float:
+    """A length tolerance as a float; it must be finite and >= 0."""
+    tol = as_scalar(tol, what)
+    if tol < 0.0:
+        raise ValidationError(f"{what} must be finite and >= 0, got {tol}")
+    return tol
+
+
 def _axis_frame(x: Sequence[float], y: Sequence[float], what: str = "observation offset"):
     """Validated x and y, a = |y| > 0, r = |x| and the axis component x3 = x . y / a."""
     x = as_vec3(x, what)
     y = as_vec3(y, "extension vector")
     a = norm3(y)
     if a == 0.0:
-        raise DegenerateExtensionError(
-            "extension vector must be nonzero; the real-distance case is served "
-            "by a separate path"
-        )
+        raise DegenerateExtensionError(_ZERO_EXTENSION)
     return x, y, a, norm3(x), dot3(x, y) / a
 
 
 def _distance(a: float, r: float, x3: float, near_circle_tol: float) -> ComplexDistance:
-    """The root p - iq of r^2 - a^2 - 2 i a x3 with its on_cut and near_circle flags."""
+    """The root p - iq of r^2 - a^2 - 2 i a x3 with its on_cut and near_circle flags.
+
+    A root of magnitude exactly 0 (the point is on the branch circle) is
+    near_circle whatever the tolerance.
+    """
     if x3 == 0.0 and r < a:
         p, q = 0.0, math.sqrt(a * a - r * r)
         on_cut = True
@@ -109,7 +142,93 @@ def _distance(a: float, r: float, x3: float, near_circle_tol: float) -> ComplexD
         raise AccuracyError(
             f"complex distance at r = {r:g}, a = {a:g} overflows a float", value=complex(p, -q)
         )
-    return ComplexDistance(p, q, on_cut=on_cut, near_circle=magnitude < near_circle_tol)
+    near_circle = magnitude < near_circle_tol or magnitude == 0.0
+    return ComplexDistance(p, q, on_cut=on_cut, near_circle=near_circle)
+
+
+def _dot_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """dot3 of every row pair of two (n, 3) arrays, summed in dot3's order."""
+    return u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1] + u[:, 2] * v[:, 2]
+
+
+def _distance_block(x: np.ndarray, y: np.ndarray):
+    """`_axis_frame` plus `_distance` (default tolerance) on every row of (n, 3) blocks x and y.
+
+    Returns the arrays (a, r, x3, p, q, on_cut, near_circle), each of
+    length n and bit-identical row by row to the scalar path.  Raises
+    that path's errors: ValidationError when an input is not finite
+    (naming its row), else DegenerateExtensionError for a zero row of y,
+    else AccuracyError for the first root whose magnitude is not finite.
+    Callers keep n bounded: every intermediate has length n.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 2 or x.shape[1] != 3 or x.shape != y.shape:
+        raise ValidationError(f"blocks must both be (n, 3), got {x.shape} and {y.shape}")
+    for block, what in ((x, "observation offset"), (y, "extension vector")):
+        bad = ~np.isfinite(block).all(axis=1)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValidationError(f"{what} components must be finite, got row {k}: {block[k]}")
+    n = len(x)
+    a = np.fromiter(map(math.hypot, *y.T.tolist()), float, n)
+    if not a.all():
+        raise DegenerateExtensionError(_ZERO_EXTENSION)
+    r = np.fromiter(map(math.hypot, *x.T.tolist()), float, n)
+    x3 = _dot_rows(x, y) / a
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        p, root_imag = _sqrt_block(r * r - a * a, (-2.0 * a) * x3)
+        q = -root_imag
+        on_cut = (x3 == 0.0) & (r < a)
+        p[on_cut] = 0.0
+        q[on_cut] = np.sqrt(a[on_cut] * a[on_cut] - r[on_cut] * r[on_cut])
+    magnitude = np.fromiter(map(math.hypot, p.tolist(), q.tolist()), float, n)
+    overflow = ~(magnitude < math.inf)
+    if overflow.any():
+        k = int(np.argmax(overflow))
+        raise AccuracyError(
+            f"complex distance at r = {r[k]:g}, a = {a[k]:g} overflows a float",
+            value=complex(p[k], -q[k]),
+        )
+    near_circle = (magnitude < NEAR_CIRCLE_REL_TOL * a) | (magnitude == 0.0)
+    return a, r, x3, p, q, on_cut, near_circle
+
+
+def _sqrt_block(re: np.ndarray, im: np.ndarray):
+    """Real and imaginary parts of cmath.sqrt(complex(re, im)) on every row, bit for bit.
+
+    CPython's algorithm: s = 2 sqrt(|re|/8 + hypot(|re|/8, |im|/8)), or a
+    rescaled form when both parts are below the smallest normal float,
+    and d = |im|/(2 s); the root is (s, d) for re >= 0 and (d, s)
+    otherwise, its imaginary part signed like im, and (0, im) when both
+    parts are 0.  `np.hypot` is the C library's hypot, as in cmath.
+    Non-finite rows are left to the caller.
+    """
+    ax = np.abs(re)
+    ay = np.abs(im)
+    tiny = (ax < sys.float_info.min) & (ay < sys.float_info.min)
+    up = np.ldexp(ax, 53)
+    scaled = np.ldexp(np.sqrt(up + np.hypot(up, np.ldexp(ay, 53))), -27)
+    ax8 = ax / 8.0
+    s = np.where(tiny, scaled, 2.0 * np.sqrt(ax8 + np.hypot(ax8, ay / 8.0)))
+    d = ay / (2.0 * s)
+    right = re >= 0.0
+    real = np.where(right, s, d)
+    imag = np.copysign(np.where(right, d, s), im)
+    origin = (re == 0.0) & (im == 0.0)
+    real[origin] = 0.0
+    imag[origin] = im[origin]
+    return real, imag
+
+
+def _rho_block(x: np.ndarray, y: np.ndarray, a: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """`spheroidal_coords`' rho on every row, from `_distance_block`'s a and r.
+
+    Like the scalar, it projects on y/a (x . (y/a) can differ from the
+    kernel's x3 = (x . y)/a in the last bit).
+    """
+    x3 = _dot_rows(x, y / a[:, None])
+    return np.sqrt(np.maximum(r * r - x3 * x3, 0.0))
 
 
 def complex_distance(
@@ -120,8 +239,9 @@ def complex_distance(
     Returns the square root of r^2 - a^2 - 2 i a x3 on the branch with
     nonnegative real part.  On the cut disk (x3 = 0, r < a) the value is
     the limit from the x3 -> 0+ side and on_cut is set.  near_circle is
-    set when |p - iq| falls below near_circle_tol (default 1e-9 * a).
-    A root that overflows a float raises AccuracyError.
+    set when |p - iq| falls below near_circle_tol (default 1e-9 * a), and
+    always at |p - iq| = 0; a negative or non-finite near_circle_tol is a
+    ValidationError.  A root that overflows a float raises AccuracyError.
 
     A zero extension is rejected: the purely real distance is not a
     degenerate case of this routine but a separate code path in the
@@ -130,6 +250,8 @@ def complex_distance(
     _, _, a, r, x3 = _axis_frame(x, y)
     if near_circle_tol is None:
         near_circle_tol = NEAR_CIRCLE_REL_TOL * a
+    else:
+        near_circle_tol = _tolerance(near_circle_tol, "near-circle tolerance")
     return _distance(a, r, x3, near_circle_tol)
 
 
@@ -177,12 +299,9 @@ def branch_classify(x: Sequence[float], y: Sequence[float], tol: float) -> Branc
     ON_CUT when the axis component vanishes within tol and r < a,
     REGULAR otherwise.  tol is a length and must be nonnegative.
     """
-    tol = float(tol)
-    if not (tol >= 0.0) or not math.isfinite(tol):
-        raise ValidationError(f"classification tolerance must be finite and >= 0, got {tol}")
+    tol = _tolerance(tol, "classification tolerance")
     _, _, a, r, x3 = _axis_frame(x, y)
-    dist = _distance(a, r, x3, NEAR_CIRCLE_REL_TOL * a)
-    if dist.magnitude < tol or dist.magnitude == 0.0:
+    if _distance(a, r, x3, tol).near_circle:
         return BranchRegion.ON_CIRCLE
     # x3 == 0.0 keeps the cut itself classified when tol is 0
     if (abs(x3) < tol or x3 == 0.0) and r < a:

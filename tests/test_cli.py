@@ -84,6 +84,33 @@ def test_propagator_map_singular_row_has_empty_values(tmp_path):
     assert singular["re"] == "" and singular["im"] == "" and singular["abs"] == ""
 
 
+def test_zero_near_circle_tol_still_marks_the_branch_circle_singular(tmp_path):
+    # x1 = 1 lies exactly on the branch circle of the extension, p = q = 0
+    config = {
+        "extent": [0.0, 0.0, 1.0, 2.0],
+        "near_circle_tol": 0.0,
+        "grid": {"x1": 1.0, "t": 1.0},
+    }
+    code, out = run_cli(tmp_path, "propagator", config)
+    assert code == 0
+    _, rows = read_rows(out)
+    assert [row["status"] for row in rows] == ["singular"]
+
+
+@pytest.mark.parametrize("command", ("distance", "propagator", "wavelet"))
+def test_negative_near_circle_tol_is_a_validation_error(tmp_path, capsys, command):
+    config = {
+        "extent": [0.0, 0.0, 1.0, 2.0],
+        "near_circle_tol": -1.0,
+        "grid": {"x1": 1.0, "t": 1.0} if command != "distance" else {"x1": 1.0},
+    }
+    code, out = run_cli(tmp_path, command, config)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "'near_circle_tol' must be finite and >= 0" in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_wavelet_map_matches_library(tmp_path):
     from pulsebeam import ConeVector, GaussianPulse, RealEvent, wavelet_eval
 

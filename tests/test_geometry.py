@@ -1,10 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pulsebeam import (
+    AccuracyError,
     BranchRegion,
     DegenerateExtensionError,
     UndefinedDirectionError,
@@ -14,7 +16,7 @@ from pulsebeam import (
     far_zone_distance,
     spheroidal_coords,
 )
-from pulsebeam.geometry import segment_crosses_cut
+from pulsebeam.geometry import _axis_frame, _distance_block, _rho_block, segment_crosses_cut
 
 
 def test_on_axis_value():
@@ -73,6 +75,96 @@ def test_near_circle_flag_with_custom_tolerance():
     assert d.near_circle
     d = complex_distance((1.0000001, 0, 0), (0, 0, 1))
     assert not d.near_circle  # default guard is 1e-9 * a
+
+
+@pytest.mark.parametrize("tol", (-1.0, math.nan, math.inf, "x"))
+def test_near_circle_tolerance_must_be_finite_and_nonnegative(tol):
+    with pytest.raises(ValidationError):
+        complex_distance((1, 0, 0), (0, 0, 1), near_circle_tol=tol)
+
+
+@pytest.mark.parametrize("tol", (None, 0.0, 1e-300))
+def test_exact_branch_circle_is_near_circle_whatever_the_tolerance(tol):
+    # p = q = 0: |p - iq| < tol fails for tol = 0, the guard must not
+    d = complex_distance((1, 0, 0), (0, 0, 1), near_circle_tol=tol)
+    assert d.p == 0.0 and d.q == 0.0
+    assert d.near_circle
+
+
+def _block_edge_rows():
+    """Rows where the branch structure decides the result: cut, circle, axis, origin."""
+    rows = []
+    for y in ((0.0, 0.0, 1.0), (0.0, 0.0, 2.5), (0.6, 0.0, 0.8), (-1e-3, 2e-3, 0.0)):
+        a = math.hypot(*y)
+        yhat = tuple(v / a for v in y)
+        # a transverse direction, exactly orthogonal for the first two extensions
+        t = (1.0, 0.0, 0.0) if y[0] == 0.0 else (0.0, 0.0, 1.0)
+        for scale in (0.0, 0.3, 0.999999999, 1.0, 1.0 + 4e-10, 1.0 - 4e-10, 3.0):
+            rows.append((tuple(scale * a * v for v in t), y))  # cut plane: on the cut when r < a
+        for lam in (3.0, -3.0, 1e-3, -1e-3, 1.0, -1.0):
+            rows.append((tuple(lam * a * v for v in yhat), y))  # on the axis, both ways
+        for tilt in (1e-20, -1e-20, 1e-10 * a, 3e-10 * a, -5e-10 * a):
+            # within 1e-9 a of the circle, on either side of the disk
+            rows.append((tuple(a * v + tilt * w for v, w in zip(t, yhat)), y))
+    rows.append(((0.0, 0.0, -0.0), (0.0, 0.0, 1.0)))
+    rows.append(((-0.0, -0.0, -0.0), (-1.0, 0.0, 0.0)))
+    return rows
+
+
+def test_distance_block_matches_the_scalar_oracle_bitwise():
+    rng = np.random.default_rng(20260807)
+    n = 20_000
+    y = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-2.0, 2.0, size=(n, 1))
+    x = rng.uniform(-5.0, 5.0, size=(n, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(n, 1))
+    # one scale per row from 1e-165 to 1e150, so r^2 - a^2 also runs subnormal
+    scale = 10.0 ** rng.uniform(-165.0, 150.0, size=(2_000, 1))
+    x = np.vstack([x, rng.uniform(-2.0, 2.0, size=(2_000, 3)) * scale])
+    y = np.vstack([y, rng.normal(size=(2_000, 3)) * scale])
+    n = len(x)
+    edges = _block_edge_rows()
+    x = np.vstack([x, [row[0] for row in edges]])
+    y = np.vstack([y, [row[1] for row in edges]])
+    a, r, x3, p, q, on_cut, near_circle = _distance_block(x, y)
+    rho = _rho_block(x, y, a, r)
+    scalar = []
+    flags = []
+    for xk, yk in zip(x.tolist(), y.tolist()):
+        _, _, ak, rk, x3k = _axis_frame(xk, yk)
+        d = complex_distance(xk, yk)
+        scalar.append((ak, rk, x3k, d.p, d.q, spheroidal_coords(xk, yk).rho))
+        flags.append((d.on_cut, d.near_circle))
+    # int64 views: -0.0 and 0.0 differ, and so would any two NaNs
+    got = np.column_stack([a, r, x3, p, q, rho]).view(np.int64)
+    want = np.array(scalar).view(np.int64)
+    mismatched = np.flatnonzero((got != want).any(axis=1))
+    assert mismatched.size == 0, f"rows {mismatched[:10]} differ from the scalar path"
+    assert np.array_equal(np.column_stack([on_cut, near_circle]), np.array(flags))
+    assert (np.abs(r * r - a * a) < sys.float_info.min).sum() > 10
+    # the edge rows reach every branch of the scalar path
+    tail = slice(n, None)
+    assert on_cut[tail].any() and near_circle[tail].any() and (p[tail] == 0.0).any()
+    assert (~on_cut[tail] & near_circle[tail] & (p[tail] > 0.0)).any()
+
+
+@pytest.mark.parametrize(
+    "bad,error",
+    [
+        (((1.4e154, 0.0, 0.0), (0.0, 0.0, 1.0)), AccuracyError),
+        (((1.0, 0.0, 0.0), (0.0, 0.0, 0.0)), DegenerateExtensionError),
+        (((math.nan, 0.0, 0.0), (0.0, 0.0, 1.0)), ValidationError),
+        (((1.0, 0.0, 0.0), (0.0, math.inf, 1.0)), ValidationError),
+    ],
+    ids=["overflow", "zero-extension", "nan-offset", "inf-extension"],
+)
+def test_distance_block_raises_the_scalar_errors(bad, error):
+    with pytest.raises(error) as scalar:
+        complex_distance(*bad)
+    good = ((0.3, 0.2, 0.1), (0.0, 0.0, 1.0))
+    x, y = zip(good, bad, good)
+    with pytest.raises(error) as block:
+        _distance_block(x, y)
+    if error is not ValidationError:  # the block names the row of a bad input
+        assert str(block.value) == str(scalar.value)
 
 
 def test_spheroidal_on_axis():
