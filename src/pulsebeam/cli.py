@@ -23,8 +23,19 @@ and leaves no file behind (no partial CSV, no temp file).  Guarded
 singular points are emitted with empty value cells and a status flag; a
 value that overflows a float is an accuracy error, never a NaN or inf.
 
-Rows are evaluated serially.  `--threads`, the config field `threads` and
-the PULSEBEAM_THREADS environment variable are still accepted and
+Grids are evaluated and written in blocks of `geometry._BLOCK` (4,096)
+points in row order, so memory stays bounded whatever the grid size, and
+each axis value is formatted once.  `distance` and `propagator` evaluate
+a block with the array kernels `geometry._distance_block` and
+`propagator._impulse_field_block`, which are bit-identical to the scalar
+functions.  A block holding a row that the kernels refuse (a root or a
+value that overflows a float) is evaluated again point by point through
+the scalar functions, so the first bad row aborts the grid with the
+scalar error text.  `wavelet` evaluates every point through the scalar
+functions.  `pattern` and `channel` stream their rows as well.
+
+Evaluation runs in one thread.  `--threads`, the config field `threads`
+and the PULSEBEAM_THREADS environment variable are still accepted and
 validated (an integer >= 1), for compatibility; they do not change the
 output or the evaluation.
 
@@ -35,7 +46,6 @@ float overflow), 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -52,8 +62,8 @@ from .channel import (
     gain_scan,
 )
 from .errors import AccuracyError, PulsebeamError, SingularityProximityError, ValidationError
-from .geometry import _tolerance, complex_distance
-from .propagator import _impulse_field, beam_profile
+from .geometry import _BLOCK, _distance_block, _tolerance, complex_distance
+from .propagator import _impulse_field, _impulse_field_block, beam_profile
 from .signals import DeltaDerivative, DrivingSignal, GaussianPulse, SampledSignal
 from .spacetime import ConeVector, norm3
 from .wavelet import _field, _radial_distance
@@ -229,29 +239,68 @@ def _near_circle_tol(config: dict):
 
 
 def _write_grid(
-    config: dict, out: str, names: Tuple[str, ...], columns: Tuple[str, ...], render: Callable
+    config: dict,
+    out: str,
+    names: Tuple[str, ...],
+    columns: Tuple[str, ...],
+    render: Callable,
+    kernel: Callable | None = None,
 ) -> None:
-    """Stream one row per grid point, row-major over `names`: its coordinates, then render(point).
+    """Stream one row per grid point, row-major over `names`: its coordinates, then its cells.
 
-    An accuracy or float-overflow error at a point is re-raised as an
-    AccuracyError naming the row index and the point.
+    The points go in blocks of `_BLOCK` rows.  kernel(points) gets a block
+    as an (n, len(names)) array and returns its cell columns, or None when
+    a row of the block needs the scalar path.  The rows of such a block,
+    and of every block when there is no kernel, go through render(point)
+    one at a time.  An accuracy or float-overflow error at a point is
+    re-raised as an AccuracyError naming the row index and the point.
     """
     axes = grid_from_config(config, names)
+    shape = tuple(map(len, axes))
+    values = [np.array(axis) for axis in axes]
+    texts = [np.array([format_float(value) for value in axis], dtype=object) for axis in axes]
+
+    def scalar(row, point):
+        try:
+            return render(point)
+        except (AccuracyError, ArithmeticError) as exc:
+            where = ", ".join(f"{name}={value!r}" for name, value in zip(names, point))
+            raise AccuracyError(
+                f"grid row {row} ({where}): {exc}",
+                value=getattr(exc, "value", None),
+                estimate=getattr(exc, "estimate", None),
+            ) from exc
 
     def rows():
-        for index, point in enumerate(itertools.product(*axes)):
-            try:
-                cells = render(point)
-            except (AccuracyError, ArithmeticError) as exc:
-                where = ", ".join(f"{name}={value!r}" for name, value in zip(names, point))
-                raise AccuracyError(
-                    f"grid row {index} ({where}): {exc}",
-                    value=getattr(exc, "value", None),
-                    estimate=getattr(exc, "estimate", None),
-                ) from exc
-            yield tuple(format_float(value) for value in point) + cells
+        total = math.prod(shape)
+        for start in range(0, total, _BLOCK):
+            indices = np.unravel_index(np.arange(start, min(start + _BLOCK, total)), shape)
+            points = np.column_stack([axis[i] for axis, i in zip(values, indices)])
+            cells = None if kernel is None else kernel(points)
+            if cells is None:
+                block = enumerate(map(tuple, points.tolist()), start)
+                cells = zip(*(scalar(row, point) for row, point in block))
+            coordinates = (text[i].tolist() for text, i in zip(texts, indices))
+            yield from zip(*coordinates, *cells)
 
     write_csv(out, names + columns, rows())
+
+
+def _cells(values: np.ndarray, blank: np.ndarray | None = None) -> list:
+    """The CSV cells of finite values, empty where blank is set."""
+    cells = list(map(repr, values.tolist()))
+    if blank is not None:
+        for k in np.flatnonzero(blank).tolist():
+            cells[k] = ""
+    return cells
+
+
+def _distance_rows(space: np.ndarray, extent: ConeVector, tol):
+    """`_distance_block` of a block of offsets against the extension; None when a root overflows."""
+    try:
+        return _distance_block(space, np.broadcast_to(extent.space, space.shape), tol)
+    except AccuracyError:
+        return None
 
 
 def _run_distance(config: dict, out: str) -> None:
@@ -270,10 +319,20 @@ def _run_distance(config: dict, out: str) -> None:
             status = "ok"
         return (format_float(dist.p), format_float(dist.q), status)
 
-    _write_grid(config, out, ("x1", "x2", "x3"), ("p", "q", "status"), render)
+    def kernel(points):
+        dist = _distance_rows(points, extent, tol)
+        if dist is None:
+            return None
+        _, _, _, p, q, on_cut, near_circle = dist
+        status = np.where(near_circle, "on_circle", np.where(on_cut, "on_cut", "ok"))
+        return _cells(p), _cells(q), status.tolist()
+
+    _write_grid(config, out, ("x1", "x2", "x3"), ("p", "q", "status"), render, kernel)
 
 
-def _write_field(config: dict, out: str, distance: Callable, value: Callable) -> None:
+def _write_field(
+    config: dict, out: str, distance: Callable, value: Callable, kernel: Callable | None = None
+) -> None:
     """Grid map of a field: one distance per point feeds both the value and the status."""
 
     def render(point):
@@ -289,7 +348,7 @@ def _write_field(config: dict, out: str, distance: Callable, value: Callable) ->
             "on_cut" if dist.on_cut else "ok",
         )
 
-    _write_grid(config, out, GRID_AXES, ("re", "im", "abs", "status"), render)
+    _write_grid(config, out, GRID_AXES, ("re", "im", "abs", "status"), render, kernel)
 
 
 def _run_propagator(config: dict, out: str) -> None:
@@ -299,11 +358,24 @@ def _run_propagator(config: dict, out: str) -> None:
             "propagator maps need an interior extension with nonzero spatial part"
         )
     tol = _near_circle_tol(config)
+
+    def kernel(points):
+        dist = _distance_rows(points[:, :3], extent, tol)
+        if dist is None:
+            return None
+        _, _, _, p, q, on_cut, singular = dist
+        re, im, magnitude, bad = _impulse_field_block(p, q, points[:, 3], extent.time)
+        if ((bad | ~np.isfinite(magnitude)) & ~singular).any():
+            return None
+        status = np.where(singular, "singular", np.where(on_cut, "on_cut", "ok"))
+        return (*(_cells(col, singular) for col in (re, im, magnitude)), status.tolist())
+
     _write_field(
         config,
         out,
         lambda space: complex_distance(space, extent.space, near_circle_tol=tol),
         lambda dist, t: _impulse_field(dist, t, extent.time),
+        kernel,
     )
 
 
@@ -341,10 +413,10 @@ def _run_pattern(config: dict, out: str) -> None:
             raise ValidationError(f"pattern config is missing '{key}'")
     s, a, r = (_number(config[key], key) for key in ("s", "a", "r"))
     profile = beam_profile(s, a, r, _theta_values(config, 0.0, math.pi, 181))
-    rows = [
+    rows = (
         (format_float(th), format_float(d), format_float(f), format_float(pk))
         for th, d, f, pk in zip(profile.theta, profile.duration, profile.pattern, profile.peak)
-    ]
+    )
     write_csv(out, ("theta", "duration", "pattern", "peak"), rows)
 
 
@@ -367,7 +439,7 @@ def _run_channel(config: dict, out: str) -> None:
         separation,
         thetas,
     )
-    rows = [(format_float(th), format_float(peak)) for th, peak in scan]
+    rows = ((format_float(th), format_float(peak)) for th, peak in scan)
     write_csv(out, ("theta", "peak"), rows)
 
     def jsonable(value):

@@ -24,15 +24,15 @@ evaluates (n, 3) blocks of offsets and extensions in numpy, and
 `_rho_block` gives the matching cylindrical radius of
 `spheroidal_coords`.  Their contract is bit identity: row k of every
 array they return equals, bit for bit, what `_axis_frame` and
-`_distance` (and `spheroidal_coords` for rho) give for row k, and they
-raise the scalar path's errors.  The kernel therefore repeats the scalar
-operations in the scalar order: `math.hypot` for the lengths (nested
-`np.hypot` rounds differently), the dot product summed left to right,
-the complex square built from its real and imaginary parts (complex
-multiplication rounds differently), and `_sqrt_block`, CPython's
-`cmath.sqrt` transcribed to arrays (the C library's `csqrt` behind
-`np.sqrt` rounds the imaginary part differently, for instance at r = a
-exactly).  The scalar `complex_distance` stays the public API and is the
+`_distance` with the same guard tolerance (and `spheroidal_coords` for
+rho) give for row k, and they raise the scalar path's errors.  The
+kernel therefore repeats the scalar operations in the scalar order:
+`math.hypot` for the lengths (nested `np.hypot` rounds differently), the
+dot product summed left to right, the complex square built from its
+real and imaginary parts (complex multiplication rounds differently),
+and `_sqrt_block`, CPython's `cmath.sqrt` transcribed to arrays (the C
+library's `csqrt` behind `np.sqrt` rounds the imaginary part
+differently, for instance at r = a exactly).  The scalar `complex_distance` stays the public API and is the
 kernel's oracle in the tests.
 """
 
@@ -58,6 +58,11 @@ from .spacetime import as_scalar, as_vec3, dot3, norm3
 # Guard radius around the branch circle, relative to the extension radius.
 # The fields diverge like 1/|p - iq| there; callers get a flag, not a NaN.
 NEAR_CIRCLE_REL_TOL = 1e-9
+
+# Rows per block-kernel call, in the acceptance checks and the CLI grids:
+# large enough to amortise the call, small enough that the temporaries
+# stay a few hundred kB.
+_BLOCK = 4096
 
 
 class BranchRegion(Enum):
@@ -151,8 +156,11 @@ def _dot_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1] + u[:, 2] * v[:, 2]
 
 
-def _distance_block(x: np.ndarray, y: np.ndarray):
-    """`_axis_frame` plus `_distance` (default tolerance) on every row of (n, 3) blocks x and y.
+def _distance_block(x: np.ndarray, y: np.ndarray, near_circle_tol: float | None = None):
+    """`_axis_frame` plus `_distance` on every row of (n, 3) blocks x and y.
+
+    near_circle_tol is a validated length, or None for the default guard
+    `NEAR_CIRCLE_REL_TOL * a`, as in `complex_distance`.
 
     Returns the arrays (a, r, x3, p, q, on_cut, near_circle), each of
     length n and bit-identical row by row to the scalar path.  Raises
@@ -190,7 +198,8 @@ def _distance_block(x: np.ndarray, y: np.ndarray):
             f"complex distance at r = {r[k]:g}, a = {a[k]:g} overflows a float",
             value=complex(p[k], -q[k]),
         )
-    near_circle = (magnitude < NEAR_CIRCLE_REL_TOL * a) | (magnitude == 0.0)
+    tol = NEAR_CIRCLE_REL_TOL * a if near_circle_tol is None else near_circle_tol
+    near_circle = (magnitude < tol) | (magnitude == 0.0)
     return a, r, x3, p, q, on_cut, near_circle
 
 

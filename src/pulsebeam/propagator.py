@@ -15,6 +15,19 @@ zone it reduces to
 a pulse of angle-dependent duration s - a cos(theta) peaking at t = r,
 whose angular pattern 1/(8 pi^2 (s - a cos theta)) traces an ellipse of
 eccentricity a/s with one focus at the origin and has no sidelobes.
+
+The public functions evaluate one point.  `_impulse_field_block(p, q, t,
+s)` evaluates the field on arrays of roots p - iq and times t, for the
+CLI grids.  Its contract is bit identity: on every row that it does not
+flag, its real part, imaginary part and magnitude equal, bit for bit,
+those of `_impulse_field` and `abs` on the same row, and it flags exactly
+the rows where `_impulse_field` raises AccuracyError.  It therefore
+repeats CPython's complex arithmetic in CPython's order: the products of
+((8i pi) pi) rt (tau - rt) in explicit real arithmetic (numpy's complex
+multiplication rounds differently), the reciprocal by `_Py_c_quot`'s
+Smith-style division (numpy's complex division rounds differently), and
+the magnitude by `np.hypot`, the C library's hypot that `abs` calls.  The
+scalar `_impulse_field` stays the kernel's oracle in the tests.
 """
 
 from __future__ import annotations
@@ -24,11 +37,15 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
+import numpy as np
+
 from .errors import AccuracyError, CausalityError, SingularityProximityError, ValidationError
 from .geometry import ComplexDistance, complex_distance
 from .spacetime import as_scalar, as_vec3, norm3
 
 _EIGHT_PI_SQ = 8.0 * math.pi * math.pi
+# The scalar field's leading factor 8j * pi * pi, evaluated as CPython does.
+_EIGHT_I_PI_SQ = 8j * math.pi * math.pi
 
 
 def _require_interior(s: float, a: float) -> None:
@@ -55,6 +72,33 @@ def _impulse_field(dist: ComplexDistance, t: float, s: float) -> complex:
     rt = dist.value
     tau = complex(t, -s)
     return _reciprocal(8j * math.pi * math.pi * rt * (tau - rt), "propagator")
+
+
+def _product_block(ar, ai, br, bi):
+    """CPython's complex product (ar + i ai)(br + i bi): (ar br - ai bi, ar bi + ai br)."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _impulse_field_block(p: np.ndarray, q: np.ndarray, t: np.ndarray, s: float):
+    """`_impulse_field` and its magnitude on every row of the roots p - iq and times t.
+
+    Returns the arrays (re, im, magnitude, bad).  bad marks the rows where
+    the scalar raises AccuracyError (the denominator is 0, or its
+    reciprocal is not finite); their values are meaningless.  The
+    near-circle guard is the caller's, as is the check s > a.
+    """
+    with np.errstate(all="ignore"):
+        krt_re, krt_im = _product_block(_EIGHT_I_PI_SQ.real, _EIGHT_I_PI_SQ.imag, p, -q)
+        den_re, den_im = _product_block(krt_re, krt_im, t - p, -s - -q)
+        # _Py_c_quot(1 + 0i, den): divide through by the larger part of den
+        by_re = np.abs(den_re) >= np.abs(den_im)
+        ratio = np.where(by_re, den_im / den_re, den_re / den_im)
+        scale = np.where(by_re, den_re + den_im * ratio, den_re * ratio + den_im)
+        re = np.where(by_re, 1.0 + 0.0 * ratio, 1.0 * ratio + 0.0) / scale
+        im = np.where(by_re, 0.0 - 1.0 * ratio, 0.0 * ratio - 1.0) / scale
+        magnitude = np.hypot(re, im)
+    bad = ((den_re == 0.0) & (den_im == 0.0)) | ~np.isfinite(re) | ~np.isfinite(im)
+    return re, im, magnitude, bad
 
 
 def extended_propagator(x: Sequence[float], y: Sequence[float], t: float, s: float) -> complex:

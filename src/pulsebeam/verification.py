@@ -36,7 +36,7 @@ from .channel import (
     gain_scan,
 )
 from .errors import ValidationError
-from .geometry import _distance_block, _dot_rows, _rho_block, complex_distance
+from .geometry import _BLOCK, _distance_block, _dot_rows, _rho_block, complex_distance
 from .propagator import _EIGHT_PI_SQ, beam_profile, extended_propagator, far_zone_propagator
 from .signals import (
     DeltaDerivative,
@@ -54,11 +54,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-
-
-# Rows per kernel call in checks 1-3: large enough to amortise the call,
-# small enough that the kernel's temporaries stay a few hundred kB.
-_BLOCK = 4096
 
 
 def _unit_vectors(rng: np.random.Generator, count: int) -> np.ndarray:

@@ -1,8 +1,10 @@
 import io
+import itertools
 import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -311,6 +313,124 @@ def test_grid_abort_names_the_point_and_leaves_no_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "grid row 0 (x1=0.0, x2=0.0, x3=0.0, t=0.0)" in err
+    assert not out.exists()
+    assert not list(tmp_path.glob(".pulsebeam-*.csv"))
+
+
+# 193 x 65 points 1/32 apart, so the grid hits the cut and the branch circle exactly.  With
+# the extension (0, 0, 1) the first cut point (x1 = -1 + 1/32, x3 = 0) and the first circle
+# point (x1 = -1, x3 = 0) lie past row 6,000, after the first 4,096-row block.
+BLOCK_GRID = {
+    "x1": {"min": -4.0, "max": 2.0, "count": 193},
+    "x3": {"min": -1.0, "max": 1.0, "count": 65},
+}
+
+
+def scalar_grid_csv(command, config):
+    """The CSV a grid config should give, built one point at a time from the scalar library."""
+    from pulsebeam import SingularityProximityError, complex_distance
+    from pulsebeam.propagator import _impulse_field
+
+    names = GRID_AXES if command == "propagator" else GRID_AXES[:3]
+    axes = []
+    for name in names:
+        spec = config["grid"].get(name, 0.0)
+        if isinstance(spec, dict):
+            axes.append([float(v) for v in np.linspace(spec["min"], spec["max"], spec["count"])])
+        else:
+            axes.append([float(spec)])
+    *space, lag = config["extent"]
+    tol = config.get("near_circle_tol")
+    lines = [",".join(names + (("re", "im", "abs", "status") if command == "propagator"
+                                else ("p", "q", "status")))]
+    for point in itertools.product(*axes):
+        dist = complex_distance(point[:3], space, near_circle_tol=tol)
+        if command == "distance":
+            status = "on_circle" if dist.near_circle else "on_cut" if dist.on_cut else "ok"
+            cells = (repr(dist.p), repr(dist.q), status)
+        else:
+            try:
+                value = _impulse_field(dist, point[3], lag)
+                status = "on_cut" if dist.on_cut else "ok"
+                cells = (repr(value.real), repr(value.imag), repr(abs(value)), status)
+            except SingularityProximityError:
+                cells = ("", "", "", "singular")
+        lines.append(",".join(tuple(map(repr, point)) + cells))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("tol", [None, 0.3], ids=["default-tol", "tol-0.3"])
+@pytest.mark.parametrize("command", ["distance", "propagator"])
+def test_grid_blocks_match_the_scalar_path_byte_for_byte(tmp_path, monkeypatch, command, tol):
+    import pulsebeam.cli
+
+    def no_scalar(*args, **kwargs):
+        raise AssertionError("a block without errors went through the scalar path")
+
+    # the CLI's own scalar path is switched off: every block, and the tolerance, must
+    # go through the kernels
+    monkeypatch.setattr(pulsebeam.cli, "complex_distance", no_scalar)
+    config = {"extent": [0.0, 0.0, 1.0, 2.0], "grid": dict(BLOCK_GRID)}
+    if command == "propagator":
+        config["grid"]["t"] = {"min": 0.5, "max": 1.5, "count": 2}
+    if tol is not None:
+        config["near_circle_tol"] = tol
+    expected = scalar_grid_csv(command, config)
+    rows = expected.decode().splitlines()[1:]
+    flagged = [k for k, row in enumerate(rows) if not row.endswith(",ok")]
+    assert len(rows) > 8192 and flagged[0] > 4096
+    assert any(row.endswith(("on_circle", "singular")) for row in rows)
+    if tol is not None:  # the tolerance guards more points than the default does
+        assert expected != scalar_grid_csv(command, dict(config, near_circle_tol=None))
+    code, out = run_cli(tmp_path, command, config)
+    assert code == 0
+    assert out.read_bytes() == expected
+
+
+@pytest.mark.parametrize(
+    "command,config,where",
+    [
+        pytest.param(
+            "propagator",
+            {
+                "extent": [0.0, 0.0, 1e-160, 3e-160],
+                "grid": {"x3": {"min": -1.0, "max": 0.0, "count": 5000}},
+            },
+            "grid row 4999 (x1=0.0, x2=0.0, x3=0.0, t=0.0): propagator 1/(",
+            id="propagator-reciprocal",
+        ),
+        pytest.param(
+            "distance",
+            {
+                "extent": [0.0, 0.0, 1.0, 2.0],
+                "grid": {"x3": {"min": 0.0, "max": 1.4e154, "count": 5000}},
+            },
+            "grid row 4788 (x1=0.0, x2=0.0, x3=1.340908181636327e+154): complex distance",
+            id="distance-root",
+        ),
+    ],
+)
+def test_first_overflow_in_a_later_block_names_its_global_row(
+    tmp_path, capsys, command, config, where
+):
+    # the propagator's only tiny denominator is the last row, x3 = 0; the distance's
+    # r^2 overflows from x3 = 1.34e154 on: both first bad rows are in the second block
+    code, out = run_cli(tmp_path, command, config)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"accuracy error: {where}") and len(err.splitlines()) == 1
+    assert not out.exists()
+    assert not list(tmp_path.glob(".pulsebeam-*.csv"))
+
+
+def test_pattern_error_mid_stream_leaves_no_file(tmp_path, capsys):
+    # s - a cos(theta) overflows only at theta = pi, the last row: earlier rows were streamed
+    theta = {"min": 0.0, "max": math.pi, "count": 5}
+    config = {"s": 1.7e308, "a": 1.6e308, "r": 1.0, "theta": theta}
+    code, out = run_cli(tmp_path, "pattern", config)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "accuracy error: value inf does not fit a float\n"
     assert not out.exists()
     assert not list(tmp_path.glob(".pulsebeam-*.csv"))
 

@@ -144,6 +144,12 @@ def test_distance_block_matches_the_scalar_oracle_bitwise():
     tail = slice(n, None)
     assert on_cut[tail].any() and near_circle[tail].any() and (p[tail] == 0.0).any()
     assert (~on_cut[tail] & near_circle[tail] & (p[tail] > 0.0)).any()
+    # an explicit guard tolerance goes through the kernel as through complex_distance
+    rows = np.r_[0:2_000, n : len(x)]
+    for tol in (0.0, 1e-3, 0.5):
+        near_circle = _distance_block(x[rows], y[rows], tol)[6]
+        want = [complex_distance(x[k], y[k], near_circle_tol=tol).near_circle for k in rows]
+        assert np.array_equal(near_circle, want)
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,8 @@ from pulsebeam import (
     far_zone_propagator,
     gain_scan,
 )
+from pulsebeam.geometry import ComplexDistance
+from pulsebeam.propagator import _impulse_field, _impulse_field_block
 
 EIGHT_PI_SQ = 8.0 * math.pi**2
 
@@ -153,3 +155,53 @@ def test_non_finite_results_are_accuracy_errors(call):
     # but an infinite pattern 1/(8 pi^2 d)
     with pytest.raises(AccuracyError):
         call()
+
+
+def _scalar_field(p, q, t, s):
+    """(re, im, abs) of the scalar field at root p - iq, or None where it raises AccuracyError."""
+    try:
+        value = _impulse_field(ComplexDistance(p, q), t, s)
+    except AccuracyError:
+        return None
+    return value.real, value.imag, abs(value)
+
+
+def test_impulse_field_block_matches_the_scalar_oracle_bitwise():
+    rng = np.random.default_rng(8)
+    n = 20_000
+    # one scale per row, so the products run from 1e-300 to 1e300
+    scale = 10.0 ** rng.uniform(-150.0, 150.0, n)
+    p = np.abs(rng.normal(size=n)) * scale
+    q = rng.normal(size=n) * scale
+    t = rng.normal(size=n) * scale
+    s = np.abs(q) + rng.uniform(0.01, 2.0, n) * scale
+    t[::7] = p[::7]  # tau - rt purely imaginary
+    rows = [tuple(v) for v in np.column_stack([p, q, t, s]).tolist()]
+    # edge rows from the geometry, extension (0, 0, 1), lag 2: on the cut, exactly on the
+    # branch circle (p = q = 0: the denominator is 0), on the axis both ways, and in the
+    # plane of the circle outside it (q = 0: at t = p the denominator's imaginary part is 0)
+    for x in ((0.5, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.6, 0.8),
+              (0.0, 0.0, 3.0), (0.0, 0.0, -3.0), (0.0, 0.0, 1.0), (0.0, 0.0, -1.0),
+              (2.0, 0.0, 0.0), (0.0, -2.0, 0.0)):
+        dist = complex_distance(x, (0.0, 0.0, 1.0), near_circle_tol=0.0)
+        rows += [(dist.p, dist.q, t, 2.0) for t in (dist.p, -dist.p, 0.0, 1.0)]
+    # tiny scales: the denominator underflows to 0, or its reciprocal overflows
+    for scale in (1e-160, 1e-162, 1e-165, 1e-170, 1e-200):
+        rows += [(scale, -scale, 0.0, 3.0 * scale), (0.0, scale, scale, 2.0 * scale)]
+    p, q, t, s = (np.array(col) for col in zip(*rows))
+
+    re, im, magnitude, bad = _impulse_field_block(p, q, t, s)
+
+    expected = [_scalar_field(*row) for row in rows]
+    raised = np.array([value is None for value in expected])
+    assert np.array_equal(bad, raised)
+    # both ways of raising occur: a denominator of 0, and a reciprocal that overflows
+    zero = np.array([
+        8j * math.pi * math.pi * complex(p, -q) * (complex(t, -s) - complex(p, -q)) == 0
+        for p, q, t, s in rows
+    ])
+    assert (raised & zero).any() and (raised & ~zero).any()
+    kept = [value for value in expected if value is not None]
+    for got, want in zip((re, im, magnitude), zip(*kept)):
+        # int64 views: -0.0 and 0.0 differ
+        assert np.array_equal(got[~bad].view(np.int64), np.array(want).view(np.int64))
