@@ -79,13 +79,14 @@ def _product_block(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def _impulse_field_block(p: np.ndarray, q: np.ndarray, t: np.ndarray, s: float):
+def _impulse_field_block(p: np.ndarray, q: np.ndarray, t: np.ndarray, s):
     """`_impulse_field` and its magnitude on every row of the roots p - iq and times t.
 
-    Returns the arrays (re, im, magnitude, bad).  bad marks the rows where
-    the scalar raises AccuracyError (the denominator is 0, or its
-    reciprocal is not finite); their values are meaningless.  The
-    near-circle guard is the caller's, as is the check s > a.
+    s is the extension lag, one float or one per row.  Returns the arrays
+    (re, im, magnitude, bad).  bad marks the rows where the scalar raises
+    AccuracyError (the denominator is 0, or its reciprocal is not
+    finite); their values are meaningless.  The near-circle guard is the
+    caller's, as is the check s > a.
     """
     with np.errstate(all="ignore"):
         krt_re, krt_im = _product_block(_EIGHT_I_PI_SQ.real, _EIGHT_I_PI_SQ.imag, p, -q)

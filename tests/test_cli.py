@@ -341,8 +341,8 @@ def scalar_grid_csv(command, config):
             axes.append([float(spec)])
     *space, lag = config["extent"]
     tol = config.get("near_circle_tol")
-    lines = [",".join(names + (("re", "im", "abs", "status") if command == "propagator"
-                                else ("p", "q", "status")))]
+    columns = ("re", "im", "abs", "status") if command == "propagator" else ("p", "q", "status")
+    lines = [",".join(names + columns)]
     for point in itertools.product(*axes):
         dist = complex_distance(point[:3], space, near_circle_tol=tol)
         if command == "distance":
