@@ -31,8 +31,15 @@ a block with the array kernels `geometry._distance_block` and
 functions.  A block holding a row that the kernels refuse (a root or a
 value that overflows a float) is evaluated again point by point through
 the scalar functions, so the first bad row aborts the grid with the
-scalar error text.  `wavelet` evaluates every point through the scalar
-functions.  `pattern` and `channel` stream their rows as well.
+scalar error text.  `wavelet` evaluates point by point through the
+scalar functions, once per distinct field argument: the field depends on
+a point only through its complex distance p - iq and t, so a grid slice
+through the extension axis repeats each argument at its mirror point.
+The results are kept in a dict keyed by the bit patterns of (p, q, t),
+cleared at `_BLOCK` entries; errors are never kept, so every singular
+row is flagged and the first failing row aborts as before.  `pattern`
+evaluates `beam_profile` on `_BLOCK`-long slices of the theta axis, and
+`pattern` and `channel` stream their rows as well.
 
 Evaluation runs in one thread.  `--threads`, the config field `threads`
 and the PULSEBEAM_THREADS environment variable are still accepted and
@@ -46,9 +53,11 @@ float overflow), 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
+import struct
 import sys
 import tempfile
 from typing import Callable, Iterable, Sequence, Tuple
@@ -69,6 +78,8 @@ from .spacetime import ConeVector, norm3
 from .wavelet import _field, _radial_distance
 
 GRID_AXES = ("x1", "x2", "x3", "t")
+# Bit pattern of a wavelet field argument (p, q, t, near_circle).
+_FIELD_KEY = struct.Struct("<ddd?")
 DEFAULT_POINT_CAP = 10**8
 THREADS_ENV_VAR = "PULSEBEAM_THREADS"
 
@@ -385,11 +396,24 @@ def _run_wavelet(config: dict, out: str) -> None:
         raise ValidationError("wavelet maps need an interior extension")
     signal = signal_from_config(config.get("signal", {"type": "delta"}))
     tol = _near_circle_tol(config)
+    # The field depends on the point only through (p, q, t), and a grid slice
+    # through the extension axis repeats each of them at its mirror point.
+    # Keys are bit patterns, so arguments that compare equal but differ in the
+    # sign of a zero stay apart; an error is never stored, so every singular
+    # row raises again.
+    memo = {}
+
+    def value(dist, t):
+        key = _FIELD_KEY.pack(dist.p, dist.q, t, dist.near_circle)
+        field = memo.get(key)
+        if field is None:
+            if len(memo) >= _BLOCK:
+                memo.clear()
+            field = memo[key] = _field(signal, dist, t, extent.time)
+        return field
+
     _write_field(
-        config,
-        out,
-        lambda space: _radial_distance(space, extent.space, tol),
-        lambda dist, t: _field(signal, dist, t, extent.time),
+        config, out, lambda space: _radial_distance(space, extent.space, tol), value
     )
 
 
@@ -412,9 +436,14 @@ def _run_pattern(config: dict, out: str) -> None:
         if key not in config:
             raise ValidationError(f"pattern config is missing '{key}'")
     s, a, r = (_number(config[key], key) for key in ("s", "a", "r"))
-    profile = beam_profile(s, a, r, _theta_values(config, 0.0, math.pi, 181))
+    thetas = _theta_values(config, 0.0, math.pi, 181)
+    profiles = (
+        beam_profile(s, a, r, thetas[lo : lo + _BLOCK]) for lo in range(0, len(thetas), _BLOCK)
+    )
+    first = next(profiles)  # checks s, a and r before the file is opened
     rows = (
         (format_float(th), format_float(d), format_float(f), format_float(pk))
+        for profile in itertools.chain((first,), profiles)
         for th, d, f, pk in zip(profile.theta, profile.duration, profile.pattern, profile.peak)
     )
     write_csv(out, ("theta", "duration", "pattern", "peak"), rows)

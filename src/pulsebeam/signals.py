@@ -37,7 +37,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 from scipy.integrate import IntegrationWarning, quad
 
@@ -99,6 +99,10 @@ class DrivingSignal:
         """ghat0(omega) = integral g0(t) exp(+i omega t) dt."""
         raise NotImplementedError
 
+    def spectral_limit(self, damping: float) -> float:
+        """Frequency beyond which exp(-w*damping) * ghat0(w) is negligible."""
+        return 45.0 / damping
+
 
 @dataclass(frozen=True)
 class DeltaDerivative(DrivingSignal):
@@ -139,6 +143,14 @@ class DeltaDerivative(DrivingSignal):
     def spectrum(self, omega: float) -> complex:
         return (-1j * omega) ** self.order
 
+    def spectral_limit(self, damping: float) -> float:
+        # |ghat0| grows like w^n, which pushes the cut-off out
+        upper = super().spectral_limit(damping)
+        if self.order > 0:
+            for _ in range(4):
+                upper = (45.0 + self.order * math.log(max(upper, 1.0))) / damping
+        return upper
+
 
 @dataclass(frozen=True)
 class GaussianPulse(DrivingSignal):
@@ -170,7 +182,16 @@ class GaussianPulse(DrivingSignal):
         return True
 
     def analytic(self, z: complex) -> complex:
-        return _cauchy_quadrature(self, z)
+        # amplitude_at's operations on the float nodes quad passes, without
+        # the method call and float() at each node
+        center, width, amplitude = self.center, self.width, self.amplitude
+        exp = math.exp
+
+        def density(t: float) -> float:
+            u = (t - center) / width
+            return amplitude * exp(-0.5 * u * u)
+
+        return _cauchy_quadrature(self, z, density)
 
     def spectrum(self, omega: float) -> complex:
         sig = self.width
@@ -180,6 +201,10 @@ class GaussianPulse(DrivingSignal):
             * math.sqrt(_TWO_PI)
             * cmath.exp(complex(-0.5 * sig * sig * omega * omega, omega * self.center))
         )
+
+    def spectral_limit(self, damping: float) -> float:
+        # ghat0 itself decays like exp(-(width*w)^2/2).
+        return min(super().spectral_limit(damping), math.sqrt(2.0 * math.log(1e18)) / self.width)
 
 
 @dataclass(frozen=True)
@@ -397,16 +422,19 @@ def analytic_signal(signal: DrivingSignal, tau: complex) -> complex:
     return value
 
 
-def _cauchy_quadrature(signal: DrivingSignal, z: complex) -> complex:
-    """The Cauchy integral of a signal with a pointwise value, by adaptive quadrature.
+def _cauchy_quadrature(
+    signal: DrivingSignal, z: complex, density: Callable[[float], float]
+) -> complex:
+    """The Cauchy integral of density, the signal's pointwise value, by adaptive quadrature.
 
-    The Gaussian route, and the tests' oracle for the sampled closed form;
-    z must lie off the support (analytic_signal checks it).
+    The Gaussian route, and the tests' oracle for the sampled closed form
+    (with density = signal.amplitude_at); z must lie off the support
+    (analytic_signal checks it).
     """
     lo, hi = signal.effective_support()
 
     def integrand(tp: float) -> complex:
-        return signal.amplitude_at(tp) / (z - tp)
+        return density(tp) / (z - tp)
 
     if isinstance(signal, SampledSignal):
         nodes = list(signal.times)
@@ -435,19 +463,6 @@ def _cauchy_quadrature(signal: DrivingSignal, z: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _spectral_upper_limit(signal: DrivingSignal, damping: float) -> float:
-    """Frequency beyond which exp(-w*damping) * ghat0(w) is negligible."""
-    upper = 45.0 / damping
-    if isinstance(signal, DeltaDerivative) and signal.order > 0:
-        n = signal.order
-        for _ in range(4):
-            upper = (45.0 + n * math.log(max(upper, 1.0))) / damping
-    if isinstance(signal, GaussianPulse):
-        # ghat0 itself decays like exp(-(width*w)^2/2).
-        upper = min(upper, math.sqrt(2.0 * math.log(1e18)) / signal.width)
-    return upper
-
-
 def spectral_signal(signal: DrivingSignal, t: float, s: float) -> complex:
     """Analytic signal via the one-sided spectral integral; requires s != 0.
 
@@ -462,7 +477,7 @@ def spectral_signal(signal: DrivingSignal, t: float, s: float) -> complex:
         raise DomainError("the spectral route needs s != 0; the real axis is a boundary")
 
     damping = abs(s)
-    upper = _spectral_upper_limit(signal, damping)
+    upper = signal.spectral_limit(damping)
     if s > 0.0:
 
         def integrand(w: float) -> complex:

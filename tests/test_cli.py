@@ -326,24 +326,29 @@ BLOCK_GRID = {
 }
 
 
+def grid_points(config, names=GRID_AXES):
+    """The points of a grid config in row order, as the CLI builds them."""
+    axes = []
+    for name in names:
+        spec = config["grid"].get(name, 0.0)
+        if isinstance(spec, dict):
+            axes.append(np.linspace(spec["min"], spec["max"], spec["count"]).tolist())
+        else:
+            axes.append([float(spec)])
+    return itertools.product(*axes)
+
+
 def scalar_grid_csv(command, config):
     """The CSV a grid config should give, built one point at a time from the scalar library."""
     from pulsebeam import SingularityProximityError, complex_distance
     from pulsebeam.propagator import _impulse_field
 
     names = GRID_AXES if command == "propagator" else GRID_AXES[:3]
-    axes = []
-    for name in names:
-        spec = config["grid"].get(name, 0.0)
-        if isinstance(spec, dict):
-            axes.append([float(v) for v in np.linspace(spec["min"], spec["max"], spec["count"])])
-        else:
-            axes.append([float(spec)])
     *space, lag = config["extent"]
     tol = config.get("near_circle_tol")
     columns = ("re", "im", "abs", "status") if command == "propagator" else ("p", "q", "status")
     lines = [",".join(names + columns)]
-    for point in itertools.product(*axes):
+    for point in grid_points(config, names):
         dist = complex_distance(point[:3], space, near_circle_tol=tol)
         if command == "distance":
             status = "on_circle" if dist.near_circle else "on_cut" if dist.on_cut else "ok"
@@ -418,6 +423,132 @@ def test_first_overflow_in_a_later_block_names_its_global_row(
     code, out = run_cli(tmp_path, command, config)
     err = capsys.readouterr().err
     assert code == 2
+    assert err.startswith(f"accuracy error: {where}") and len(err.splitlines()) == 1
+    assert not out.exists()
+    assert not list(tmp_path.glob(".pulsebeam-*.csv"))
+
+
+# A slice through the extension axis (x1): mirror points share their field argument, x1 = 0
+# crosses the cut and |x2| = 1 hits the branch circle.
+MIRROR_CONFIG = {
+    "extent": [1.0, 0.0, 0.0, 1.4],
+    "signal": {"type": "gaussian", "center": 0.3, "width": 0.6, "amplitude": 1.2},
+    "grid": {
+        "x1": {"min": -1.0, "max": 1.0, "count": 5},
+        "x2": {"min": -1.5, "max": 1.5, "count": 7},
+        "t": {"min": 0.0, "max": 1.0, "count": 2},
+    },
+}
+# linspace(-0.0, -0.0, 2) is [0.0, -0.0]: one t axis holding both zeros
+SIGNED_ZERO_T = {"min": -0.0, "max": -0.0, "count": 2}
+
+
+def scalar_wavelet_csv(config):
+    """The CSV a wavelet config should give, one scalar field evaluation per point."""
+    from pulsebeam import SingularityProximityError
+    from pulsebeam.cli import format_float, signal_from_config
+    from pulsebeam.wavelet import _field, _radial_distance
+
+    *space, lag = config["extent"]
+    signal = signal_from_config(config["signal"])
+    lines = [",".join(GRID_AXES + ("re", "im", "abs", "status"))]
+    for point in grid_points(config):
+        dist = _radial_distance(point[:3], space)
+        try:
+            value = _field(signal, dist, point[3], lag)
+            status = "on_cut" if dist.on_cut else "ok"
+            cells = (*map(format_float, (value.real, value.imag, abs(value))), status)
+        except SingularityProximityError:
+            cells = ("", "", "", "singular")
+        lines.append(",".join((*map(format_float, point), *cells)))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        pytest.param(MIRROR_CONFIG, id="mirror"),
+        pytest.param(
+            {
+                "extent": [0.0, 0.0, 0.0, 0.7],
+                "signal": {"type": "delta"},
+                "grid": {
+                    "x1": {"min": -2.0, "max": 2.0, "count": 9},
+                    "x3": {"min": -1.0, "max": 1.0, "count": 5},
+                    "t": {"min": 1.0, "max": 2.5, "count": 2},
+                },
+            },
+            id="temporal",
+        ),
+        pytest.param(
+            dict(MIRROR_CONFIG, grid=dict(MIRROR_CONFIG["grid"], t=SIGNED_ZERO_T)),
+            id="signed-zero-t",
+        ),
+        pytest.param(
+            {
+                "extent": [1.0, 0.0, 0.0, 1.4],
+                "signal": {"type": "delta", "order": 1},
+                "grid": {
+                    "x1": {"min": -1.0, "max": 1.0, "count": 81},
+                    "x2": {"min": -1.5, "max": 1.5, "count": 61},
+                    "t": {"min": 0.0, "max": 1.0, "count": 2},
+                },
+            },
+            id="memo-cleared",
+        ),
+    ],
+)
+def test_wavelet_memo_matches_the_scalar_path_byte_for_byte(tmp_path, config):
+    expected = scalar_wavelet_csv(config)
+    statuses = {row.rsplit(",", 1)[1] for row in expected.decode().splitlines()[1:]}
+    assert {"ok", "singular"} <= statuses
+    code, out = run_cli(tmp_path, "wavelet", config)
+    assert code == 0
+    assert out.read_bytes() == expected
+
+
+@pytest.mark.parametrize(
+    "t", [MIRROR_CONFIG["grid"]["t"], SIGNED_ZERO_T], ids=["t", "signed-zero-t"]
+)
+def test_wavelet_grid_evaluates_each_distinct_field_argument_once(tmp_path, monkeypatch, t):
+    import pulsebeam.wavelet
+    from pulsebeam.wavelet import _radial_distance
+
+    calls = []
+    analytic_signal = pulsebeam.wavelet.analytic_signal
+
+    def counted(signal, tau):
+        calls.append(tau)
+        return analytic_signal(signal, tau)
+
+    monkeypatch.setattr(pulsebeam.wavelet, "analytic_signal", counted)
+    config = dict(MIRROR_CONFIG, grid=dict(MIRROR_CONFIG["grid"], t=t))
+    arguments = []
+    for point in grid_points(config):
+        dist = _radial_distance(point[:3], config["extent"][:3])
+        if not dist.near_circle:
+            arguments.append((repr(dist.p), repr(dist.q), repr(point[3])))
+    code, _ = run_cli(tmp_path, "wavelet", config)
+    assert code == 0
+    # repr tells -0.0 from 0.0, as the CSV does
+    assert len(calls) == len(set(arguments)) < len(arguments)
+
+
+def test_wavelet_abort_past_a_memo_clear_names_its_row(tmp_path, capsys):
+    # At the scale 1e-160 only the origin (x3 = 0 with x1 = x2 = 0, row 7499) overflows;
+    # the 4,499 distinct field arguments before it clear the memo once.
+    config = {
+        "extent": [0.0, 0.0, 1e-160, 3e-160],
+        "grid": {
+            "x1": {"min": -1.0, "max": 1.0, "count": 3},
+            "x2": {"min": -1.0, "max": 1.0, "count": 3},
+            "x3": {"min": -1.0, "max": 0.0, "count": 1500},
+        },
+    }
+    code, out = run_cli(tmp_path, "wavelet", config)
+    err = capsys.readouterr().err
+    assert code == 2
+    where = "grid row 7499 (x1=0.0, x2=0.0, x3=0.0, t=0.0): wavelet at rt = "
     assert err.startswith(f"accuracy error: {where}") and len(err.splitlines()) == 1
     assert not out.exists()
     assert not list(tmp_path.glob(".pulsebeam-*.csv"))

@@ -51,6 +51,20 @@ CONFIGS = {
             },
         },
     ),
+    # a slice through the extension axis (x1): mirror points share their field argument;
+    # x1 = 0 crosses the cut and |x2| = 1 hits the branch circle
+    "wavelet-gaussian-mirror": (
+        "wavelet",
+        {
+            "extent": [1.0, 0.0, 0.0, 1.4],
+            "signal": {"type": "gaussian", "center": 0.3, "width": 0.6, "amplitude": 1.2},
+            "grid": {
+                "x1": {"min": -1.0, "max": 1.0, "count": 5},
+                "x2": {"min": -1.5, "max": 1.5, "count": 7},
+                "t": {"min": 0.0, "max": 1.0, "count": 2},
+            },
+        },
+    ),
     "pattern": (
         "pattern",
         {"s": 2.0, "a": 1.0, "r": 100.0, "theta": {"min": 0.0, "max": math.pi, "count": 37}},
@@ -79,6 +93,9 @@ EXPECTED = {
     "propagator": ["653153781558ccbc8fd2324db1892144d48f0a2bfad44f53df61cc394f4e5d6b"],
     "wavelet-delta": ["8b58d03a1b477f120e3ccdf27049a2f97c2ef0b7a852cb005e8bd1139ec802f1"],
     "wavelet-gaussian": ["32d4d74e1bedb7c6f50680780b333f74e095d8ff4e9c730e6258f068a02e6a4a"],
+    "wavelet-gaussian-mirror": [
+        "ef733a5626c957c3cb6d9e3a7e04e008fd72c8fc5bcf931679287a7cfd502969"
+    ],
     "wavelet-temporal": ["abff66fc5dbc68b4199e9f5e4653ceeb73ee32eca5f606394aa565af67d7946b"],
 }
 
