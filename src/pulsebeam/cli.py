@@ -25,29 +25,31 @@ value that overflows a float is an accuracy error, never a NaN or inf.
 
 Grids are evaluated and written in blocks of `geometry._BLOCK` (4,096)
 points in row order, so memory stays bounded whatever the grid size, and
-each axis value is formatted once.  `distance` and `propagator` evaluate
-a block with the array kernels `geometry._distance_block` and
-`propagator._impulse_field_block`, which are bit-identical to the scalar
-functions.  A block holding a row that the kernels refuse (a root or a
-value that overflows a float) is evaluated again point by point through
-the scalar functions, so the first bad row aborts the grid with the
-scalar error text.  `wavelet` evaluates point by point through the
-scalar functions, once per distinct field argument: the field depends on
-a point only through its complex distance p - iq and t, so a grid slice
-through the extension axis repeats each argument at its mirror point.
-The results are kept in a dict keyed by the bit patterns of (p, q, t),
-cleared at `_BLOCK` entries; errors are never kept, so every singular
-row is flagged and the first failing row aborts as before.  `pattern`
-evaluates `beam_profile` on `_BLOCK`-long slices of the theta axis, and
-`pattern` and `channel` stream their rows as well.
+each axis value is formatted once.  Each grid subcommand has one
+evaluation function, which turns a block of points into its cell
+columns.  A block that it refuses (a root or a value that overflows a
+float) goes through the same function again one row at a time, so the
+first bad row aborts the grid, named by its index and point.  `distance`
+and `propagator` evaluate a block with the array kernels
+`geometry._distance_block` and `propagator._impulse_field_block`, which
+are bit-identical to the scalar functions; the propagator's first
+refused row is evaluated by the scalar `_impulse_field`, whose error text
+it raises.  `wavelet` evaluates point by point, once per distinct field
+argument: the field depends on a point only through its complex distance
+p - iq and t, so a grid slice through the extension axis repeats each
+argument at its mirror point.  The cells are kept in a dict keyed by the
+bit patterns of (p, q, t), cleared at `_BLOCK` entries; a point near the
+singular set is flagged before the dict is consulted, and errors are
+never kept.  `pattern` and `channel` build the theta axis as one array
+and evaluate it in `_BLOCK`-long slices, streaming their rows.
 
 Evaluation runs in one thread.  `--threads`, the config field `threads`
 and the PULSEBEAM_THREADS environment variable are still accepted and
 validated (an integer >= 1), for compatibility; they do not change the
 output or the evaluation.
 
-Exit codes: 0 success, 1 validation error, 2 accuracy error (including a
-float overflow), 3 I/O error.
+Exit codes: 0 success, 1 validation error (a command-line usage error
+included), 2 accuracy error (including a float overflow), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -70,16 +72,17 @@ from .channel import (
     channel_metrics,
     gain_scan,
 )
-from .errors import AccuracyError, PulsebeamError, SingularityProximityError, ValidationError
-from .geometry import _BLOCK, _distance_block, _tolerance, complex_distance
+from .errors import AccuracyError, PulsebeamError, ValidationError
+from .geometry import _BLOCK, ComplexDistance, _distance_block, _tolerance
 from .propagator import _impulse_field, _impulse_field_block, beam_profile
 from .signals import DeltaDerivative, DrivingSignal, GaussianPulse, SampledSignal
 from .spacetime import ConeVector, norm3
 from .wavelet import _field, _radial_distance
 
 GRID_AXES = ("x1", "x2", "x3", "t")
-# Bit pattern of a wavelet field argument (p, q, t, near_circle).
-_FIELD_KEY = struct.Struct("<ddd?")
+FIELD_COLUMNS = ("re", "im", "abs", "status")
+# Bit pattern of a wavelet field argument (p, q, t).
+_FIELD_KEY = struct.Struct("<ddd")
 DEFAULT_POINT_CAP = 10**8
 THREADS_ENV_VAR = "PULSEBEAM_THREADS"
 
@@ -109,16 +112,16 @@ def _number(value, field: str, integer: bool = False):
     raise ValidationError(f"'{field}' must be {kind}, got {value!r}")
 
 
-def _axis(name: str, spec) -> Tuple[int, Callable[[], Tuple[float, ...]]]:
+def _axis(name: str, spec) -> Tuple[int, Callable[[], np.ndarray]]:
     """Validated sample axis at config path `name`: its count, and a function building it.
 
     The count is known before anything is allocated, so callers can check
     the point cap first.
     """
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        value = _number(spec, name)
-        return 1, lambda: (value,)
-    if isinstance(spec, dict):
+        lo = hi = _number(spec, name)
+        count = 1
+    elif isinstance(spec, dict):
         extra = set(spec) - {"min", "max", "count"}
         if extra:
             raise ValidationError(f"'{name}' has unknown fields {sorted(extra)}")
@@ -129,16 +132,17 @@ def _axis(name: str, spec) -> Tuple[int, Callable[[], Tuple[float, ...]]]:
             raise ValidationError(f"'{name}.count' must be >= 1, got {count}")
         if lo > hi:
             raise ValidationError(f"'{name}' needs min <= max, got {lo} > {hi}")
+    else:
+        raise ValidationError(f"'{name}' must be a number (fixed) or an object with min/max/count")
 
-        def build():
-            with np.errstate(all="ignore"):
-                values = tuple(float(v) for v in np.linspace(lo, hi, count))
-            if not all(math.isfinite(v) for v in values):
-                raise ValidationError(f"'{name}' samples between {lo} and {hi} overflow a float")
-            return values
+    def build():
+        with np.errstate(all="ignore"):
+            values = np.linspace(lo, hi, count)
+        if not np.isfinite(values).all():
+            raise ValidationError(f"'{name}' samples between {lo} and {hi} overflow a float")
+        return values
 
-        return count, build
-    raise ValidationError(f"'{name}' must be a number (fixed) or an object with min/max/count")
+    return count, build
 
 
 def _check_cap(config: dict, total: int, what: str) -> None:
@@ -151,7 +155,7 @@ def _check_cap(config: dict, total: int, what: str) -> None:
         )
 
 
-def grid_from_config(config: dict, names: Sequence[str]) -> Tuple[Tuple[float, ...], ...]:
+def grid_from_config(config: dict, names: Sequence[str]) -> Tuple[np.ndarray, ...]:
     """The sample values of each axis in `names`, in that order."""
     grid_cfg = config.get("grid", {})
     if not isinstance(grid_cfg, dict):
@@ -250,47 +254,43 @@ def _near_circle_tol(config: dict):
 
 
 def _write_grid(
-    config: dict,
-    out: str,
-    names: Tuple[str, ...],
-    columns: Tuple[str, ...],
-    render: Callable,
-    kernel: Callable | None = None,
+    config: dict, out: str, names: Tuple[str, ...], columns: Tuple[str, ...], evaluate: Callable
 ) -> None:
     """Stream one row per grid point, row-major over `names`: its coordinates, then its cells.
 
-    The points go in blocks of `_BLOCK` rows.  kernel(points) gets a block
-    as an (n, len(names)) array and returns its cell columns, or None when
-    a row of the block needs the scalar path.  The rows of such a block,
-    and of every block when there is no kernel, go through render(point)
-    one at a time.  An accuracy or float-overflow error at a point is
-    re-raised as an AccuracyError naming the row index and the point.
+    The points go in blocks of `_BLOCK` rows.  evaluate(points) gets a
+    block as an (n, len(names)) array and returns its cell columns.  When
+    it raises an accuracy or float-overflow error, the rows of the block
+    go through evaluate again one at a time, and the first row that
+    raises aborts the grid with an AccuracyError naming its index and
+    point.
     """
     axes = grid_from_config(config, names)
     shape = tuple(map(len, axes))
-    values = [np.array(axis) for axis in axes]
     texts = [np.array([format_float(value) for value in axis], dtype=object) for axis in axes]
 
-    def scalar(row, point):
-        try:
-            return render(point)
-        except (AccuracyError, ArithmeticError) as exc:
-            where = ", ".join(f"{name}={value!r}" for name, value in zip(names, point))
-            raise AccuracyError(
-                f"grid row {row} ({where}): {exc}",
-                value=getattr(exc, "value", None),
-                estimate=getattr(exc, "estimate", None),
-            ) from exc
+    def refuse(start, points):
+        for k, point in enumerate(points.tolist()):
+            try:
+                evaluate(points[k : k + 1])
+            except (AccuracyError, ArithmeticError) as exc:
+                where = ", ".join(f"{name}={value!r}" for name, value in zip(names, point))
+                raise AccuracyError(
+                    f"grid row {start + k} ({where}): {exc}",
+                    value=getattr(exc, "value", None),
+                    estimate=getattr(exc, "estimate", None),
+                ) from exc
 
     def rows():
         total = math.prod(shape)
         for start in range(0, total, _BLOCK):
             indices = np.unravel_index(np.arange(start, min(start + _BLOCK, total)), shape)
-            points = np.column_stack([axis[i] for axis, i in zip(values, indices)])
-            cells = None if kernel is None else kernel(points)
-            if cells is None:
-                block = enumerate(map(tuple, points.tolist()), start)
-                cells = zip(*(scalar(row, point) for row, point in block))
+            points = np.column_stack([axis[i] for axis, i in zip(axes, indices)])
+            try:
+                cells = evaluate(points)
+            except (AccuracyError, ArithmeticError):
+                refuse(start, points)
+                raise
             coordinates = (text[i].tolist() for text, i in zip(texts, indices))
             yield from zip(*coordinates, *cells)
 
@@ -306,60 +306,19 @@ def _cells(values: np.ndarray, blank: np.ndarray | None = None) -> list:
     return cells
 
 
-def _distance_rows(space: np.ndarray, extent: ConeVector, tol):
-    """`_distance_block` of a block of offsets against the extension; None when a root overflows."""
-    try:
-        return _distance_block(space, np.broadcast_to(extent.space, space.shape), tol)
-    except AccuracyError:
-        return None
-
-
 def _run_distance(config: dict, out: str) -> None:
     extent = extent_from_config(config)
     if extent.radius == 0.0:
         raise ValidationError("distance maps need a nonzero spatial extension")
     tol = _near_circle_tol(config)
 
-    def render(space):
-        dist = complex_distance(space, extent.space, near_circle_tol=tol)
-        if dist.near_circle:
-            status = "on_circle"
-        elif dist.on_cut:
-            status = "on_cut"
-        else:
-            status = "ok"
-        return (format_float(dist.p), format_float(dist.q), status)
-
-    def kernel(points):
-        dist = _distance_rows(points, extent, tol)
-        if dist is None:
-            return None
-        _, _, _, p, q, on_cut, near_circle = dist
+    def evaluate(points):
+        extension = np.broadcast_to(extent.space, points.shape)
+        _, _, _, p, q, on_cut, near_circle = _distance_block(points, extension, tol)
         status = np.where(near_circle, "on_circle", np.where(on_cut, "on_cut", "ok"))
         return _cells(p), _cells(q), status.tolist()
 
-    _write_grid(config, out, ("x1", "x2", "x3"), ("p", "q", "status"), render, kernel)
-
-
-def _write_field(
-    config: dict, out: str, distance: Callable, value: Callable, kernel: Callable | None = None
-) -> None:
-    """Grid map of a field: one distance per point feeds both the value and the status."""
-
-    def render(point):
-        dist = distance(point[:3])
-        try:
-            field = value(dist, point[3])
-        except SingularityProximityError:
-            return ("", "", "", "singular")
-        return (
-            format_float(field.real),
-            format_float(field.imag),
-            format_float(abs(field)),
-            "on_cut" if dist.on_cut else "ok",
-        )
-
-    _write_grid(config, out, GRID_AXES, ("re", "im", "abs", "status"), render, kernel)
+    _write_grid(config, out, ("x1", "x2", "x3"), ("p", "q", "status"), evaluate)
 
 
 def _run_propagator(config: dict, out: str) -> None:
@@ -370,24 +329,21 @@ def _run_propagator(config: dict, out: str) -> None:
         )
     tol = _near_circle_tol(config)
 
-    def kernel(points):
-        dist = _distance_rows(points[:, :3], extent, tol)
-        if dist is None:
-            return None
-        _, _, _, p, q, on_cut, singular = dist
-        re, im, magnitude, bad = _impulse_field_block(p, q, points[:, 3], extent.time)
-        if ((bad | ~np.isfinite(magnitude)) & ~singular).any():
-            return None
+    def evaluate(points):
+        space, t = points[:, :3], points[:, 3]
+        extension = np.broadcast_to(extent.space, space.shape)
+        _, _, _, p, q, on_cut, singular = _distance_block(space, extension, tol)
+        re, im, magnitude, bad = _impulse_field_block(p, q, t, extent.time)
+        refused = (bad | ~np.isfinite(magnitude)) & ~singular
+        if refused.any():
+            # the scalar field raises the error text of the first refused row
+            k = int(np.argmax(refused))
+            dist = ComplexDistance(float(p[k]), float(q[k]))
+            format_float(abs(_impulse_field(dist, float(t[k]), extent.time)))
         status = np.where(singular, "singular", np.where(on_cut, "on_cut", "ok"))
         return (*(_cells(col, singular) for col in (re, im, magnitude)), status.tolist())
 
-    _write_field(
-        config,
-        out,
-        lambda space: complex_distance(space, extent.space, near_circle_tol=tol),
-        lambda dist, t: _impulse_field(dist, t, extent.time),
-        kernel,
-    )
+    _write_grid(config, out, GRID_AXES, FIELD_COLUMNS, evaluate)
 
 
 def _run_wavelet(config: dict, out: str) -> None:
@@ -399,22 +355,29 @@ def _run_wavelet(config: dict, out: str) -> None:
     # The field depends on the point only through (p, q, t), and a grid slice
     # through the extension axis repeats each of them at its mirror point.
     # Keys are bit patterns, so arguments that compare equal but differ in the
-    # sign of a zero stay apart; an error is never stored, so every singular
-    # row raises again.
+    # sign of a zero stay apart.  A point near the singular set is flagged
+    # before the memo is consulted, and an error is never stored.  The memo
+    # outlives a call, so the row-by-row rerun of a refused block hits it.
     memo = {}
 
-    def value(dist, t):
-        key = _FIELD_KEY.pack(dist.p, dist.q, t, dist.near_circle)
-        field = memo.get(key)
-        if field is None:
-            if len(memo) >= _BLOCK:
-                memo.clear()
-            field = memo[key] = _field(signal, dist, t, extent.time)
-        return field
+    def evaluate(points):
+        rows = []
+        for x1, x2, x3, t in points.tolist():
+            dist = _radial_distance((x1, x2, x3), extent.space, tol)
+            if dist.near_circle:
+                rows.append(("", "", "", "singular"))
+                continue
+            key = _FIELD_KEY.pack(dist.p, dist.q, t)
+            cells = memo.get(key)
+            if cells is None:
+                if len(memo) >= _BLOCK:
+                    memo.clear()
+                field = _field(signal, dist, t, extent.time)
+                cells = memo[key] = tuple(map(format_float, (field.real, field.imag, abs(field))))
+            rows.append((*cells, "on_cut" if dist.on_cut else "ok"))
+        return zip(*rows)
 
-    _write_field(
-        config, out, lambda space: _radial_distance(space, extent.space, tol), value
-    )
+    _write_grid(config, out, GRID_AXES, FIELD_COLUMNS, evaluate)
 
 
 def _theta_values(config: dict, default_min: float, default_max: float, default_count: int):
@@ -431,19 +394,27 @@ def _theta_values(config: dict, default_min: float, default_max: float, default_
     return build()
 
 
+def _theta_slices(thetas: np.ndarray, evaluate: Callable) -> Iterable:
+    """evaluate on each `_BLOCK`-long slice of thetas, in order.
+
+    The first slice is evaluated at once, so its errors (a bad s, a or r)
+    come before any file is opened.
+    """
+    first = evaluate(thetas[:_BLOCK])
+    rest = (evaluate(thetas[lo : lo + _BLOCK]) for lo in range(_BLOCK, len(thetas), _BLOCK))
+    return itertools.chain((first,), rest)
+
+
 def _run_pattern(config: dict, out: str) -> None:
     for key in ("s", "a", "r"):
         if key not in config:
             raise ValidationError(f"pattern config is missing '{key}'")
     s, a, r = (_number(config[key], key) for key in ("s", "a", "r"))
     thetas = _theta_values(config, 0.0, math.pi, 181)
-    profiles = (
-        beam_profile(s, a, r, thetas[lo : lo + _BLOCK]) for lo in range(0, len(thetas), _BLOCK)
-    )
-    first = next(profiles)  # checks s, a and r before the file is opened
+    profiles = _theta_slices(thetas, lambda part: beam_profile(s, a, r, part))
     rows = (
         (format_float(th), format_float(d), format_float(f), format_float(pk))
-        for profile in itertools.chain((first,), profiles)
+        for profile in profiles
         for th, d, f, pk in zip(profile.theta, profile.duration, profile.pattern, profile.peak)
     )
     write_csv(out, ("theta", "duration", "pattern", "peak"), rows)
@@ -460,15 +431,14 @@ def _run_channel(config: dict, out: str) -> None:
     metrics = channel_metrics(ch)
     amplitude = channel_amplitude(ch, signal)
     thetas = _theta_values(config, -math.pi, math.pi, 721)
-    scan = gain_scan(
-        ch.emitter_extent.radius,
-        ch.emitter_extent.time,
-        ch.receiver_extent.radius,
-        ch.receiver_extent.time,
-        separation,
+    emitter, receiver = ch.emitter_extent, ch.receiver_extent
+    scans = _theta_slices(
         thetas,
+        lambda part: gain_scan(
+            emitter.radius, emitter.time, receiver.radius, receiver.time, separation, part
+        ),
     )
-    rows = ((format_float(th), format_float(peak)) for th, peak in scan)
+    rows = ((format_float(th), format_float(peak)) for scan in scans for th, peak in scan)
     write_csv(out, ("theta", "peak"), rows)
 
     def jsonable(value):
@@ -498,7 +468,7 @@ def _run_channel(config: dict, out: str) -> None:
     sys.stdout.write("\n")
 
 
-def _run_verify(config: dict, only) -> int:
+def _run_verify(only) -> int:
     from .verification import run_checks
 
     results = run_checks(only=only)
@@ -517,14 +487,14 @@ def _run_verify(config: dict, only) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_config(path) -> dict:
-    if path is None:
-        return {}
+def _load_config(path: str) -> dict:
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             config = json.load(handle)
     except OSError as exc:
         raise ValidationError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"config file {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
@@ -551,8 +521,15 @@ def _check_threads(flag_value, config: dict) -> None:
         raise ValidationError(f"thread count must be >= 1, got {threads}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ValidationError: exit 1 with one line, like a bad config."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pulsebeam",
         description="Grid sampling and verification for pulsed-beam wave fields.",
     )
@@ -571,7 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads", type=int, help="accepted for compatibility; rows are evaluated serially"
         )
     verify = sub.add_parser("verify")
-    verify.add_argument("--config", help="optional JSON configuration file")
     verify.add_argument("--only", help="comma-separated list of check ids to run")
     return parser
 
@@ -586,12 +562,11 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        config = _load_config(getattr(args, "config", None))
+        args = build_parser().parse_args(argv)
         if args.command == "verify":
-            only = args.only.split(",") if args.only else None
-            return _run_verify(config, only)
+            return _run_verify(args.only.split(",") if args.only else None)
+        config = _load_config(args.config)
         out = args.out or config.get("out")
         if not out:
             raise ValidationError("no output path: pass --out or set 'out' in the config")

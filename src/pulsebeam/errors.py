@@ -14,8 +14,6 @@ class PulsebeamError(Exception):
 class ValidationError(PulsebeamError):
     """A precondition on the inputs was violated."""
 
-    exit_code = 1
-
 
 class CausalityError(ValidationError):
     """A 4-vector that must lie strictly inside the future cone does not."""
@@ -55,8 +53,6 @@ class AccuracyError(PulsebeamError):
     The best available value and its error estimate are attached so callers
     can decide whether the result is still usable.
     """
-
-    exit_code = 2
 
     def __init__(self, message, value=None, estimate=None):
         super().__init__(message)

@@ -231,25 +231,29 @@ class SampledSignal(DrivingSignal):
     @classmethod
     def from_csv(cls, path) -> "SampledSignal":
         """Load from a two-column CSV (time,value); an optional header row is skipped."""
+        try:
+            with open(path, newline="", encoding="utf-8") as handle:
+                rows = list(csv.reader(handle))
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
         times, values = [], []
-        with open(path, newline="") as handle:
-            for row_index, row in enumerate(csv.reader(handle)):
-                if not row:
-                    continue
-                if len(row) != 2:
-                    raise ValidationError(
-                        f"{path}: row {row_index + 1} must have exactly 2 columns, got {len(row)}"
-                    )
-                try:
-                    t, v = float(row[0]), float(row[1])
-                except ValueError:
-                    if row_index == 0:
-                        continue  # header row
-                    raise ValidationError(
-                        f"{path}: row {row_index + 1} is not numeric: {row!r}"
-                    ) from None
-                times.append(t)
-                values.append(v)
+        for row_index, row in enumerate(rows):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise ValidationError(
+                    f"{path}: row {row_index + 1} must have exactly 2 columns, got {len(row)}"
+                )
+            try:
+                t, v = float(row[0]), float(row[1])
+            except ValueError:
+                if row_index == 0:
+                    continue  # header row
+                raise ValidationError(
+                    f"{path}: row {row_index + 1} is not numeric: {row!r}"
+                ) from None
+            times.append(t)
+            values.append(v)
         return cls(tuple(times), tuple(values))
 
     def amplitude_at(self, t: float) -> float:

@@ -372,9 +372,9 @@ def test_grid_blocks_match_the_scalar_path_byte_for_byte(tmp_path, monkeypatch, 
     def no_scalar(*args, **kwargs):
         raise AssertionError("a block without errors went through the scalar path")
 
-    # the CLI's own scalar path is switched off: every block, and the tolerance, must
-    # go through the kernels
-    monkeypatch.setattr(pulsebeam.cli, "complex_distance", no_scalar)
+    # the CLI's scalar field is switched off: every block, and the tolerance, must go
+    # through the kernels
+    monkeypatch.setattr(pulsebeam.cli, "_impulse_field", no_scalar)
     config = {"extent": [0.0, 0.0, 1.0, 2.0], "grid": dict(BLOCK_GRID)}
     if command == "propagator":
         config["grid"]["t"] = {"min": 0.5, "max": 1.5, "count": 2}
@@ -413,13 +413,23 @@ def test_grid_blocks_match_the_scalar_path_byte_for_byte(tmp_path, monkeypatch, 
             "grid row 4788 (x1=0.0, x2=0.0, x3=1.340908181636327e+154): complex distance",
             id="distance-root",
         ),
+        pytest.param(
+            "propagator",
+            {
+                "extent": [0.0, 0.0, 4.59e-156, 1.377e-155],
+                "grid": {"x3": {"min": -1.0, "max": 0.0, "count": 6000}, "t": 9.18e-156},
+            },
+            "grid row 5999 (x1=0.0, x2=0.0, x3=0.0, t=9.18e-156): absolute value too large",
+            id="propagator-magnitude",
+        ),
     ],
 )
 def test_first_overflow_in_a_later_block_names_its_global_row(
     tmp_path, capsys, command, config, where
 ):
-    # the propagator's only tiny denominator is the last row, x3 = 0; the distance's
-    # r^2 overflows from x3 = 1.34e154 on: both first bad rows are in the second block
+    # the propagator's only tiny denominator is the last row, x3 = 0, where at t = 2a the
+    # field's parts are about 1.5e308 each and only its magnitude overflows; the distance's
+    # r^2 overflows from x3 = 1.34e154 on: every first bad row is in the second block
     code, out = run_cli(tmp_path, command, config)
     err = capsys.readouterr().err
     assert code == 2
@@ -566,6 +576,44 @@ def test_pattern_error_mid_stream_leaves_no_file(tmp_path, capsys):
     assert not list(tmp_path.glob(".pulsebeam-*.csv"))
 
 
+# 10,000 thetas: three 4,096-angle slices, the last one short
+MANY_THETAS = {"min": -3.0, "max": 3.0, "count": 10_000}
+
+
+def test_pattern_and_channel_slices_match_one_whole_axis_call(tmp_path, capsys):
+    from pulsebeam import beam_profile, channel_from_json, gain_scan
+    from pulsebeam.spacetime import norm3
+
+    thetas = np.linspace(MANY_THETAS["min"], MANY_THETAS["max"], MANY_THETAS["count"])
+    profile = beam_profile(2.0, 1.0, 100.0, thetas)
+    lines = ["theta,duration,pattern,peak"]
+    lines += [
+        ",".join(map(repr, row))
+        for row in zip(profile.theta, profile.duration, profile.pattern, profile.peak)
+    ]
+    config = {"s": 2.0, "a": 1.0, "r": 100.0, "theta": MANY_THETAS}
+    code, out = run_cli(tmp_path, "pattern", config, "pattern.csv")
+    assert code == 0
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    ch = channel_from_json(CHANNEL_OBJ)
+    emitter, receiver = ch.emitter_extent, ch.receiver_extent
+    scan = gain_scan(
+        emitter.radius,
+        emitter.time,
+        receiver.radius,
+        receiver.time,
+        norm3(ch.separation.space),
+        thetas,
+    )
+    lines = ["theta,peak"] + [f"{th!r},{peak!r}" for th, peak in scan]
+    config = {"channel": CHANNEL_OBJ, "theta": MANY_THETAS}
+    code, out = run_cli(tmp_path, "channel", config, "channel.csv")
+    assert code == 0
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert json.loads(capsys.readouterr().out)["scan_csv"] == str(out)
+
+
 def test_channel_subcommand_outputs(tmp_path, capsys):
     config = {
         "channel": CHANNEL_OBJ,
@@ -608,6 +656,57 @@ def test_invalid_config_is_a_validation_error(tmp_path):
     assert main(["pattern", "--config", str(config_path), "--out", str(tmp_path / "x.csv")]) == 1
     missing = tmp_path / "nope.json"
     assert main(["pattern", "--config", str(missing), "--out", str(tmp_path / "x.csv")]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pattern", "--config", "p.json", "--threads", "abc"),
+        ("pattern", "--out", "o.csv"),
+        ("nosuch",),
+        ("verify", "--config", "p.json"),
+    ],
+    ids=["threads-not-an-integer", "no-config", "unknown-subcommand", "verify-config"],
+)
+def test_usage_errors_are_one_line_validation_errors(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.json").write_text(json.dumps({"s": 2.0, "a": 1.0, "r": 10.0}))
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: pulsebeam" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("where", ["config", "signal"])
+def test_a_file_that_is_not_utf8_is_a_validation_error(tmp_path, capsys, where):
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\xff\xfe{}\n")
+    out = tmp_path / "out.csv"
+    if where == "config":
+        argv = ["pattern", "--config", str(binary), "--out", str(out)]
+    else:
+        config = {
+            "extent": [0.0, 0.0, 1.0, 2.0],
+            "signal": {"type": "sampled", "path": str(binary)},
+            "grid": {"x3": 4.0, "t": 4.0},
+        }
+        config_path = tmp_path / "wavelet.json"
+        config_path.write_text(json.dumps(config))
+        argv = ["wavelet", "--config", str(config_path), "--out", str(out)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert str(binary) in err and "UTF-8" in err
+    assert not out.exists()
 
 
 def test_missing_required_keys_is_exit_1(tmp_path):
@@ -807,16 +906,24 @@ def fuzzed_config(draw, command):
     return config
 
 
+# no flag, a thread count, or junk (text that may not parse, or may look like a flag)
+THREADS_ARGV = st.one_of(
+    st.just(()),
+    st.integers(-2, 8).map(lambda n: ("--threads", str(n))),
+    st.text(max_size=3).map(lambda text: ("--threads", text)),
+)
+
+
 @pytest.mark.parametrize("command", sorted(VALID_CONFIGS))
 def test_fuzzed_configs_end_with_a_documented_exit_code(tmp_path, command):
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(config=fuzzed_config(command))
-    def check(config):
+    @given(config=fuzzed_config(command), threads=THREADS_ARGV)
+    def check(config, threads):
         out = tmp_path / "out.csv"
         out.unlink(missing_ok=True)
         stdout, stderr = io.StringIO(), io.StringIO()
         with redirect_stdout(stdout), redirect_stderr(stderr):
-            code, _ = run_cli(tmp_path, command, config)
+            code, _ = run_cli(tmp_path, command, config, extra=threads)
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in stderr.getvalue()
         if code:
