@@ -565,7 +565,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         if args.command == "verify":
-            return _run_verify(args.only.split(",") if args.only else None)
+            return _run_verify(None if args.only is None else args.only.split(","))
         config = _load_config(args.config)
         out = args.out or config.get("out")
         if not out:

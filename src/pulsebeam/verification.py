@@ -12,6 +12,17 @@ kernel is bit-identical to the scalar `complex_distance` and
 `spheroidal_coords`, which stay its oracle in the tests, and the checks
 keep their seeds, sample counts, draw order and tolerances, so their
 detail strings are those of a point-by-point loop.
+
+The draw rule: a check whose loop interleaves its draws still makes them
+one at a time and in the loop's order, but into preallocated arrays and
+through the cheapest numpy call with the same bits.  A scalar
+`rng.uniform(lo, hi)` is `_uniform(lo, hi, rng.random())`, a unit vector
+is a row filled by `rng.standard_normal(out=...)` and scaled by
+`_unit_rows`, and `10.0 ** u` goes through `_pow10`.  The arithmetic then
+runs on the arrays.  Check 7 builds no `Channel`: `_link_durations` does
+the operations of `ConeVector.__add__` and `channel_metrics` on flat
+arrays, and `channel_metrics` on the built links stays its oracle in the
+tests.
 """
 
 from __future__ import annotations
@@ -31,7 +42,6 @@ import numpy as np
 from .channel import (
     Channel,
     channel_amplitude,
-    channel_metrics,
     channel_translate,
     gain_scan,
 )
@@ -64,13 +74,44 @@ def _unit_vectors(rng: np.random.Generator, count: int) -> np.ndarray:
     return vecs / norms[:, None]
 
 
-def _unit_vector(rng: np.random.Generator) -> Tuple[float, float, float]:
-    """The row `_unit_vectors(rng, 1)[0]`, bit for bit, without the array round trip."""
-    g0, g1, g2 = rng.normal(size=3).tolist()
-    norm = math.sqrt((g0 * g0 + g1 * g1) + g2 * g2)
-    if norm < 1e-12:
-        norm = 1.0
-    return (g0 / norm, g1 / norm, g2 / norm)
+def _unit_rows(g: np.ndarray) -> np.ndarray:
+    """Rows of standard normal draws `g` scaled to unit length, in place.
+
+    The operations of `_unit_vectors` (numpy's row norm sums the squares
+    left to right), so its rows come out bit for bit when `g` holds the
+    same draws, made a row at a time with `rng.standard_normal(out=g[k])`.
+    (`rng.normal` adds its zero mean, which changes only a draw of -0.0.)
+    Scaling in place keeps one block-sized array fewer on the heap.
+    """
+    sq = g * g
+    norm = np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2])
+    norm[norm < 1e-12] = 1.0
+    g /= norm[:, None]
+    return g
+
+
+def _uniform(lo: float, hi: float, unit):
+    """`rng.uniform(lo, hi)` from `unit = rng.random()`, bit for bit.
+
+    numpy draws a uniform as lo + (hi - lo) * next_double, and
+    `rng.random()` is next_double, at a third of the cost of a scalar
+    `rng.uniform` call.  `unit` may be an array of such draws.
+    """
+    return lo + (hi - lo) * unit
+
+
+def _direction_draws(rng: np.random.Generator, count: int, uniforms: int):
+    """`count` unit directions, each drawn before its row of `uniforms` unit draws.
+
+    The draws are those of a loop that takes one direction and then
+    `uniforms` scalar `rng.random()` values per row, in that order.
+    """
+    g, units = np.empty((count, 3)), np.empty((count, uniforms))
+    normal, random = rng.standard_normal, rng.random
+    for row, draws in zip(g, units):
+        normal(out=row)
+        random(out=draws)
+    return _unit_rows(g), units
 
 
 def _pow2(values: np.ndarray) -> np.ndarray:
@@ -80,6 +121,16 @@ def _pow2(values: np.ndarray) -> np.ndarray:
     square) in the last bit on about 0.1% of values.
     """
     return np.fromiter(map(pow, values.tolist(), repeat(2)), float, len(values))
+
+
+def _pow10(values: np.ndarray) -> np.ndarray:
+    """10.0 ** values as Python computes it for a float (see `_pow2`)."""
+    return np.fromiter(map(pow, repeat(10.0), values.tolist()), float, len(values))
+
+
+def _norm_rows(v: np.ndarray) -> np.ndarray:
+    """`norm3` of each row; numpy's nested hypot differs in the last bit."""
+    return np.fromiter(map(math.hypot, *v.T.tolist()), float, len(v))
 
 
 # ---------------------------------------------------------------------------
@@ -142,11 +193,15 @@ def check_distance_bounds() -> CheckResult:
         if not strict[off_origin][sin_angle > 0.1].all():
             oblique_ok = False
     # On-axis batch: equality of both bounds to 1e-12.
-    yhat, a, lam = np.empty((2000, 3)), np.empty(2000), np.empty(2000)
+    g, u_a, sign, u_lam = np.empty((2000, 3)), np.empty(2000), np.empty(2000), np.empty(2000)
     for k in range(2000):
-        yhat[k] = _unit_vector(rng)
-        a[k] = float(10.0 ** rng.uniform(-1.0, 0.5))
-        lam[k] = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-1.0, 1.0) * a[k])
+        rng.standard_normal(out=g[k])
+        u_a[k] = rng.random()
+        sign[k] = rng.choice([-1.0, 1.0])
+        u_lam[k] = rng.random()
+    yhat = _unit_rows(g)
+    a = _pow10(_uniform(-1.0, 0.5, u_a))
+    lam = sign * _pow10(_uniform(-1.0, 1.0, u_lam)) * a
     _, r, _, p, q, _, _ = _distance_block(lam[:, None] * yhat, a[:, None] * yhat)
     worst_axis = max(
         0.0,
@@ -176,19 +231,20 @@ def check_spheroidal_residuals() -> CheckResult:
     wanted = 10_000
     accepted = 0
     worst = 0.0
+    normal, random = rng.standard_normal, rng.random
     while accepted < wanted:
         # Candidates are drawn one at a time, in the order of a point-by-point
         # loop, and evaluated a block at a time; draws past the last accepted
         # point are never read.  The draws go straight into arrays: a block
         # of Python tuples grew the peak RSS of repeated runs by 2 MB.
-        yhat, xhat = np.empty((_BLOCK, 3)), np.empty((_BLOCK, 3))
-        a, length = np.empty(_BLOCK), np.empty(_BLOCK)
-        for k in range(_BLOCK):
-            yhat[k] = _unit_vector(rng)
-            a[k] = float(10.0 ** rng.uniform(-0.5, 0.5))
-            length[k] = float(a[k] * 10.0 ** rng.uniform(-1.0, 0.6))
-            xhat[k] = _unit_vector(rng)
-        x = length[:, None] * xhat
+        gy, gx, units = np.empty((_BLOCK, 3)), np.empty((_BLOCK, 3)), np.empty((_BLOCK, 2))
+        for row_y, draws, row_x in zip(gy, units, gx):
+            normal(out=row_y)
+            random(out=draws)
+            normal(out=row_x)
+        yhat = _unit_rows(gy)
+        a = _pow10(_uniform(-0.5, 0.5, units[:, 0]))
+        x = (a * _pow10(_uniform(-1.0, 0.6, units[:, 1])))[:, None] * _unit_rows(gx)
         y = a[:, None] * yhat
         norm_y, r, _, p, q, _, _ = _distance_block(x, y)
         # Both identities need p != 0 and 0 < |q| < a with sane conditioning.
@@ -226,11 +282,11 @@ def check_wave_residual_order() -> CheckResult:
 
     points: List[RealEvent] = []
     while len(points) < 20:
-        xhat = _unit_vector(rng)
+        xhat = _unit_rows(rng.standard_normal((1, 3)))[0].tolist()
         if abs(xhat[2]) < 0.12:
             continue
-        r = float(rng.uniform(1.5, 3.5))
-        t = r + float(rng.uniform(-0.5, 0.5))
+        r = _uniform(1.5, 3.5, rng.random())
+        t = r + _uniform(-0.5, 0.5, rng.random())
         event = RealEvent((r * xhat[0], r * xhat[1], r * xhat[2]), t)
         scale = abs(wavelet_eval(delta, event, extent))
         ratio = abs(wave_residual(delta, event, extent, steps[0])) / scale
@@ -304,25 +360,27 @@ def check_hyperfunction_jump() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _random_interior_extent(rng: np.random.Generator, min_margin: float = 0.5) -> ConeVector:
-    direction = _unit_vector(rng)
-    radius = float(rng.uniform(0.2, 1.0))
-    margin = float(rng.uniform(min_margin, min_margin + 0.8))
-    return ConeVector(tuple(radius * c for c in direction), radius + margin)
+def _interior_extents(rng: np.random.Generator, count: int, min_margin: float):
+    """`count` interior extents (space rows, lags), drawn one extent at a time."""
+    direction, units = _direction_draws(rng, count, 2)
+    radius = _uniform(0.2, 1.0, units[:, 0])
+    margin = _uniform(min_margin, min_margin + 0.8, units[:, 1])
+    return radius[:, None] * direction, radius + margin
 
 
 def _random_channel(rng: np.random.Generator) -> Channel:
     while True:
-        emitter_extent = _random_interior_extent(rng)
-        receiver_extent = _random_interior_extent(rng)
+        space, lag = _interior_extents(rng, 2, min_margin=0.5)
+        emitter_extent = ConeVector(space[0].tolist(), float(lag[0]))
+        receiver_extent = ConeVector(space[1].tolist(), float(lag[1]))
         center = rng.uniform(-2.0, 2.0, size=3)
-        direction = _unit_vector(rng)
-        separation = float(rng.uniform(3.0, 6.0))
-        t_e = float(rng.uniform(-1.0, 1.0))
+        direction = _unit_rows(rng.standard_normal((1, 3)))[0].tolist()
+        separation = _uniform(3.0, 6.0, rng.random())
+        t_e = _uniform(-1.0, 1.0, rng.random())
         emitter_center = RealEvent(tuple(float(c) for c in center), t_e)
         receiver_center = RealEvent(
             tuple(float(c + separation * d) for c, d in zip(center, direction)),
-            t_e + separation + float(rng.uniform(-0.3, 0.3)),
+            t_e + separation + _uniform(-0.3, 0.3, rng.random()),
         )
         ch = Channel(emitter_center, emitter_extent, receiver_center, receiver_extent)
         combined = ch.combined_extent
@@ -388,47 +446,53 @@ def check_translation_invariance() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
+def _parallel_links(rng: np.random.Generator, count: int):
+    """`count` links whose two extents share one direction, as (space, lag) pairs."""
+    direction, units = _direction_draws(rng, count, 4)
+    a_e, a_r = _uniform(0.1, 1.5, units[:, 0]), _uniform(0.1, 1.5, units[:, 1])
+    e_lag = a_e + _uniform(0.1, 1.0, units[:, 2])
+    r_lag = a_r + _uniform(0.1, 1.0, units[:, 3])
+    return a_e[:, None] * direction, e_lag, a_r[:, None] * direction, r_lag
+
+
+def _link_durations(e_space, e_lag, r_space, r_lag):
+    """Emitter, receiver and link durations `lag - |space|` and the summed lag.
+
+    The floating-point operations of `ConeVector.__add__` and
+    `channel_metrics` on the `Channel` of each row, without building it.
+    """
+    lag = e_lag + r_lag
+    return (
+        e_lag - _norm_rows(e_space),
+        r_lag - _norm_rows(r_space),
+        lag - _norm_rows(e_space + r_space),
+        lag,
+    )
+
+
 def check_duration_triangle() -> CheckResult:
     rng = np.random.default_rng(20260807)
-    origin = RealEvent((0.0, 0.0, 0.0), 0.0)
-    apart = RealEvent((5.0, 0.0, 0.0), 5.0)
+    n = 10_000
     worst_slack = math.inf
     chain_ok = True
-    for _ in range(10_000):
-        ch = Channel(
-            origin,
-            _random_interior_extent(rng, min_margin=0.05),
-            apart,
-            _random_interior_extent(rng, min_margin=0.05),
+    # Slices of _BLOCK extents, emitter and receiver alternating in the draw
+    # order: slices of _BLOCK links grew the peak RSS of repeated runs by 0.3 MB.
+    for lo in range(0, n, _BLOCK // 2):
+        space, lag = _interior_extents(rng, 2 * min(_BLOCK // 2, n - lo), min_margin=0.05)
+        emit, receive, link, total_lag = _link_durations(
+            space[0::2], lag[0::2], space[1::2], lag[1::2]
         )
-        m = channel_metrics(ch)
-        total_lag = ch.combined_extent.time
-        slack = (m.duration - (m.emit_duration + m.receive_duration)) / total_lag
-        worst_slack = min(worst_slack, slack)
-        endpoint_sum = m.emit_duration + m.receive_duration
-        if not (
-            m.bandwidth <= 1.0 / endpoint_sum * (1.0 + 1e-15)
-            and 1.0 / endpoint_sum < min(m.emit_bandwidth, m.receive_bandwidth)
-        ):
-            chain_ok = False
+        endpoint_sum = emit + receive
+        worst_slack = min(worst_slack, float(((link - endpoint_sum) / total_lag).min()))
+        # Every endpoint is interior (margin >= 0.05), so its bandwidth is finite.
+        bound = 1.0 / endpoint_sum
+        chain = (1.0 / link <= bound * (1.0 + 1e-15)) & (
+            bound < np.minimum(1.0 / emit, 1.0 / receive)
+        )
+        chain_ok = chain_ok and bool(chain.all())
     # Parallel extents: the triangle inequality is saturated.
-    worst_eq = 0.0
-    for _ in range(1000):
-        direction = _unit_vector(rng)
-        a_e = float(rng.uniform(0.1, 1.5))
-        a_r = float(rng.uniform(0.1, 1.5))
-        ch = Channel(
-            origin,
-            ConeVector(tuple(a_e * c for c in direction), a_e + float(rng.uniform(0.1, 1.0))),
-            apart,
-            ConeVector(tuple(a_r * c for c in direction), a_r + float(rng.uniform(0.1, 1.0))),
-        )
-        m = channel_metrics(ch)
-        worst_eq = max(
-            worst_eq,
-            abs(m.duration - (m.emit_duration + m.receive_duration))
-            / ch.combined_extent.time,
-        )
+    emit, receive, link, total_lag = _link_durations(*_parallel_links(rng, 1000))
+    worst_eq = float((np.abs(link - (emit + receive)) / total_lag).max())
     passed = worst_slack >= -1e-12 and chain_ok and worst_eq <= 1e-12
     return CheckResult(
         "7",

@@ -7,7 +7,18 @@ The checks themselves live in pulsebeam.verification so that the CLI
 import numpy as np
 import pytest
 
-from pulsebeam.verification import ACCEPTANCE_CHECKS, _unit_vector, _unit_vectors
+from pulsebeam import verification
+from pulsebeam.channel import Channel, channel_metrics
+from pulsebeam.spacetime import ConeVector, RealEvent
+from pulsebeam.verification import (
+    ACCEPTANCE_CHECKS,
+    _interior_extents,
+    _link_durations,
+    _parallel_links,
+    _uniform,
+    _unit_rows,
+    _unit_vectors,
+)
 
 # Detail strings of the seeded sampling checks, as printed by the
 # point-by-point implementation they replaced.  A change to a seed, a
@@ -17,6 +28,8 @@ PINNED_DETAILS = {
     "2": "bound slack min 0 (worst normalized excess p -1.0e-08, q -1.4e-05); "
     "on-axis equality residual 4.90e-16; oblique strictness ok",
     "3": "max surface-identity residual 6.04e-14 over 10000 regular points",
+    "4": "min convergence order 1.999 (need >= 1.8), max |residual|/|W| at h=1e-2: 4.80e-04",
+    "6": "max rel amplitude change 1.30e-15 over 1000 moves; endpoint trio 0.00e+00",
     "7": "min normalized slack 1.11e-05 over 10000 links; bandwidth chain ok; "
     "parallel equality residual 2.28e-16",
 }
@@ -34,8 +47,106 @@ def test_acceptance_criterion(ident, name, func):
         assert result.detail == PINNED_DETAILS[ident], "the check's draws or counts changed"
 
 
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
 def test_single_unit_vector_draw_matches_the_array_draw():
     old, new = np.random.default_rng(20260803), np.random.default_rng(20260803)
-    for _ in range(5_000):
-        want = _unit_vectors(old, 1)[0]
-        assert np.array_equal(np.array(_unit_vector(new)).view(np.int64), want.view(np.int64))
+    # rows filled one at a time between scalar draws, as checks 2, 3 and 7 draw them
+    g = np.empty((5_000, 3))
+    want = np.empty((5_000, 3))
+    for k in range(5_000):
+        new.standard_normal(out=g[k])
+        new.random()
+        want[k] = _unit_vectors(old, 1)[0]
+        old.uniform(0.0, 1.0)
+    assert np.array_equal(_bits(_unit_rows(g)), _bits(want))
+    # one row drawn on its own, as checks 4 and 6 draw it
+    for _ in range(1_000):
+        one = _unit_rows(new.standard_normal((1, 3)))[0]
+        assert np.array_equal(_bits(one), _bits(_unit_vectors(old, 1)[0]))
+
+
+# The scalar uniforms of each check, in the order one pass of its loop draws
+# them; the bounds are written as verification.py writes them.
+UNIFORM_DRAWS = {
+    "2-on-axis": ((-1.0, 0.5), (-1.0, 1.0)),
+    "3": ((-0.5, 0.5), (-1.0, 0.6)),
+    "4": ((1.5, 3.5), (-0.5, 0.5)),
+    "6-extent": ((0.2, 1.0), (0.5, 0.5 + 0.8)),
+    "6-channel": ((3.0, 6.0), (-1.0, 1.0), (-0.3, 0.3)),
+    "7": ((0.2, 1.0), (0.05, 0.05 + 0.8)),
+    "7-parallel": ((0.1, 1.5), (0.1, 1.5), (0.1, 1.0), (0.1, 1.0)),
+}
+
+
+@pytest.mark.parametrize("bounds", UNIFORM_DRAWS.values(), ids=UNIFORM_DRAWS.keys())
+def test_uniform_helper_matches_rng_uniform(bounds):
+    n = 10_000
+    want = np.empty((n, len(bounds)))
+    scalar = np.empty((n, len(bounds)))
+    units = np.empty((n, len(bounds)))
+    old, new, filled = (np.random.default_rng(20260807) for _ in range(3))
+    for k in range(n):
+        filled.random(out=units[k])
+        for j, (lo, hi) in enumerate(bounds):
+            want[k, j] = old.uniform(lo, hi)
+            scalar[k, j] = _uniform(lo, hi, new.random())
+    assert np.array_equal(_bits(scalar), _bits(want))
+    arrays = np.column_stack(
+        [_uniform(lo, hi, units[:, j]) for j, (lo, hi) in enumerate(bounds)]
+    )
+    assert np.array_equal(_bits(arrays), _bits(want))
+
+
+def test_check_7_flat_durations_match_channel_metrics():
+    """Oracle: the first 2,000 links of each loop, built and measured as objects."""
+    origin, apart = RealEvent((0.0, 0.0, 0.0), 0.0), RealEvent((5.0, 0.0, 0.0), 5.0)
+    old = np.random.default_rng(20260807)
+
+    def extent(a, direction, lag):
+        return ConeVector(tuple(a * c for c in direction), lag)
+
+    def interior():
+        direction = _unit_vectors(old, 1)[0].tolist()
+        radius = old.uniform(0.2, 1.0)
+        return extent(radius, direction, radius + old.uniform(0.05, 0.05 + 0.8))
+
+    triangle = []
+    for k in range(10_000):
+        link = (origin, interior(), apart, interior())
+        if k < 2_000:
+            triangle.append(Channel(*link))
+    parallel = []
+    for _ in range(1_000):
+        direction = _unit_vectors(old, 1)[0].tolist()
+        a_e, a_r = old.uniform(0.1, 1.5), old.uniform(0.1, 1.5)
+        e = extent(a_e, direction, a_e + old.uniform(0.1, 1.0))
+        r = extent(a_r, direction, a_r + old.uniform(0.1, 1.0))
+        parallel.append(Channel(origin, e, apart, r))
+
+    new = np.random.default_rng(20260807)
+    space, lag = _interior_extents(new, 2 * 10_000, min_margin=0.05)
+    flat_triangle = _link_durations(space[0::2], lag[0::2], space[1::2], lag[1::2])
+    flat_parallel = _link_durations(*_parallel_links(new, 1_000))
+    for links, flat in ((triangle, flat_triangle), (parallel, flat_parallel)):
+        metrics = [channel_metrics(ch) for ch in links]
+        want = (
+            [m.emit_duration for m in metrics],
+            [m.receive_duration for m in metrics],
+            [m.duration for m in metrics],
+            [ch.combined_extent.time for ch in links],
+        )
+        for got, expected in zip(flat, want):
+            assert np.array_equal(_bits(got[: len(links)]), _bits(expected))
+
+
+def test_check_7_builds_no_link_objects(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("check 7 built a link object")
+
+    monkeypatch.setattr(verification, "Channel", refuse)
+    monkeypatch.setattr(verification, "ConeVector", refuse)
+    result = verification.check_duration_triangle()
+    assert result.passed and result.detail == PINNED_DETAILS["7"]

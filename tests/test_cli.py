@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pulsebeam import verification
 from pulsebeam.cli import GRID_AXES, main
 
 CHANNEL_OBJ = {
@@ -750,6 +751,17 @@ def test_verify_subset(tmp_path, capsys):
     assert main(["verify", "--only", "9"]) == 0
     printed = capsys.readouterr().out
     assert "pattern-shape" in printed and "PASS" in printed
+
+
+@pytest.mark.parametrize("only", ["", " ", ","], ids=["empty", "blank", "comma"])
+def test_verify_only_without_a_check_id_is_a_validation_error(capsys, monkeypatch, only):
+    def never():
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verification, "ACCEPTANCE_CHECKS", (("1", "stand-in", never),))
+    assert main(["verify", "--only", only]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no acceptance checks match") and len(err.splitlines()) == 1
 
 
 def test_two_by_two_grid_emits_four_rows(tmp_path):
