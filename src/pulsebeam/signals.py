@@ -26,6 +26,12 @@ achieved estimate can be checked against it), and sampled waveforms with
 linear interpolation between samples and zero outside (the exact Cauchy
 integral of the interpolant, a sum of one logarithm per segment, with a
 rounding-error bound checked against the same target).
+
+scipy is used for quadrature only, by the Gaussian analytic signal and
+`spectral_signal`, and is loaded at the first quadrature: the module
+attribute `quad` is bound to `scipy.integrate.quad` on first use, so
+importing pulsebeam, or a CLI call that never integrates, does not
+import scipy.
 """
 
 from __future__ import annotations
@@ -35,11 +41,8 @@ import cmath
 import csv
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
-
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import (
     AccuracyError,
@@ -369,16 +372,29 @@ def fourier_transform(signal: DrivingSignal, omega: float) -> complex:
 # ---------------------------------------------------------------------------
 
 
+def __getattr__(name: str):
+    """Bind scipy's quad as `signals.quad` on first use, so importing pulsebeam skips scipy."""
+    if name != "quad":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.integrate import quad
+
+    globals()["quad"] = quad
+    return quad
+
+
 def _quad_complex(func, lo: float, hi: float, limit: int = 200):
-    """Adaptive quadrature of a complex integrand; returns (value, error estimate)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        re, re_err = quad(
-            lambda u: func(u).real, lo, hi, epsabs=1e-15, epsrel=1e-12, limit=limit
-        )
-        im, im_err = quad(
-            lambda u: func(u).imag, lo, hi, epsabs=1e-15, epsrel=1e-12, limit=limit
-        )
+    """Adaptive quadrature of a complex integrand; returns (value, error estimate).
+
+    full_output makes QUADPACK return its non-convergence message rather
+    than warn with it; _check_accuracy judges the estimate.
+    """
+    quad = globals().get("quad") or __getattr__("quad")
+    re, re_err = quad(
+        lambda u: func(u).real, lo, hi, full_output=1, epsabs=1e-15, epsrel=1e-12, limit=limit
+    )[:2]
+    im, im_err = quad(
+        lambda u: func(u).imag, lo, hi, full_output=1, epsabs=1e-15, epsrel=1e-12, limit=limit
+    )[:2]
     return complex(re, im), re_err + im_err
 
 

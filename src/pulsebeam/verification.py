@@ -18,8 +18,9 @@ one at a time and in the loop's order, but into preallocated arrays and
 through the cheapest numpy call with the same bits.  A scalar
 `rng.uniform(lo, hi)` is `_uniform(lo, hi, rng.random())`, a unit vector
 is a row filled by `rng.standard_normal(out=...)` and scaled by
-`_unit_rows`, and `10.0 ** u` goes through `_pow10`.  The arithmetic then
-runs on the arrays.  Check 7 builds no `Channel`: `_link_durations` does
+`_unit_rows`, a sign `rng.choice([-1.0, 1.0])` is
+`(-1.0, 1.0)[rng.integers(0, 2)]`, and `10.0 ** u` goes through `_pow10`.
+The arithmetic then runs on the arrays.  Check 7 builds no `Channel`: `_link_durations` does
 the operations of `ConeVector.__add__` and `channel_metrics` on flat
 arrays, and `channel_metrics` on the built links stays its oracle in the
 tests.
@@ -197,7 +198,7 @@ def check_distance_bounds() -> CheckResult:
     for k in range(2000):
         rng.standard_normal(out=g[k])
         u_a[k] = rng.random()
-        sign[k] = rng.choice([-1.0, 1.0])
+        sign[k] = (-1.0, 1.0)[rng.integers(0, 2)]
         u_lam[k] = rng.random()
     yhat = _unit_rows(g)
     a = _pow10(_uniform(-1.0, 0.5, u_a))

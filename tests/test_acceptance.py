@@ -100,6 +100,23 @@ def test_uniform_helper_matches_rng_uniform(bounds):
     assert np.array_equal(_bits(arrays), _bits(want))
 
 
+def test_sign_draw_matches_rng_choice():
+    # check 2's on-axis loop: a direction, a uniform, a sign, a uniform
+    old, new = np.random.default_rng(20260802), np.random.default_rng(20260802)
+    want, got = np.empty(20_000), np.empty(20_000)
+    for k in range(20_000):
+        old.standard_normal(3)
+        new.standard_normal(3)
+        old.random()
+        new.random()
+        want[k] = old.choice([-1.0, 1.0])
+        got[k] = (-1.0, 1.0)[new.integers(0, 2)]
+        old.random()
+        new.random()
+    assert np.array_equal(_bits(got), _bits(want))
+    assert old.bit_generator.state == new.bit_generator.state
+
+
 def test_check_7_flat_durations_match_channel_metrics():
     """Oracle: the first 2,000 links of each loop, built and measured as objects."""
     origin, apart = RealEvent((0.0, 0.0, 0.0), 0.0), RealEvent((5.0, 0.0, 0.0), 5.0)

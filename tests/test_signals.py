@@ -1,4 +1,10 @@
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -451,3 +457,100 @@ def test_conjugate_symmetry(t, s, order):
     upper = analytic_signal(sig, complex(t, s))
     lower = analytic_signal(sig, complex(t, -s))
     assert upper == pytest.approx(-lower.conjugate(), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# scipy is loaded at the first quadrature
+# ---------------------------------------------------------------------------
+
+SRC = pathlib.Path(__file__).parent.parent / "src"
+
+
+def _run_fresh(code: str, *args: str) -> str:
+    """Run code in a fresh interpreter that imports pulsebeam from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cli_grids_without_quadrature_never_import_scipy(tmp_path):
+    # a subprocess, because this process has loaded scipy already
+    extent = [0.0, 0.0, 1.0, 2.0]
+    axis = {"min": 0.5, "max": 2.0, "count": 4}
+    configs = {
+        "propagator": {"extent": extent, "grid": {"x1": axis, "x3": axis, "t": 1.0}},
+        "distance": {"extent": extent, "grid": {"x1": axis, "x3": axis}},
+    }
+    for command, config in configs.items():
+        (tmp_path / f"{command}.json").write_text(json.dumps(config))
+    code = """
+import json, os, sys
+import pulsebeam.cli
+work = sys.argv[1]
+for command in ("propagator", "distance"):
+    path = os.path.join(work, command)
+    assert pulsebeam.cli.main([command, "--config", path + ".json", "--out", path + ".csv"]) == 0
+before = sorted(name for name in sys.modules if name.startswith("scipy"))
+pulsebeam.analytic_signal(pulsebeam.GaussianPulse(), complex(0.0, -1.0))
+print(json.dumps([before, "scipy.integrate" in sys.modules]))
+"""
+    before, loaded = json.loads(_run_fresh(code, str(tmp_path)))
+    assert before == []
+    assert loaded
+    for command in configs:
+        assert len((tmp_path / f"{command}.csv").read_text().splitlines()) == 17
+
+
+SEAM_CASES = {
+    "a-rebound-quad-is-called": """
+import scipy.integrate
+import pulsebeam
+from pulsebeam import signals
+assert "quad" not in vars(signals)
+calls = []
+def counting(*args, **kwargs):
+    calls.append(args[1:3])
+    return scipy.integrate.quad(*args, **kwargs)
+signals.quad = counting
+pulsebeam.analytic_signal(pulsebeam.GaussianPulse(), complex(0.0, -1.0))
+assert len(calls) >= 2, calls
+""",
+    "reading-quad-binds-scipy-quad": """
+import sys
+from pulsebeam import signals
+assert "scipy.integrate" not in sys.modules
+quad = signals.quad
+import scipy.integrate
+assert quad is scipy.integrate.quad
+assert vars(signals)["quad"] is quad
+""",
+    "other-names-raise": """
+import sys
+from pulsebeam import signals
+try:
+    signals.no_such_name
+except AttributeError as error:
+    assert "pulsebeam.signals" in str(error) and "no_such_name" in str(error), error
+else:
+    raise AssertionError("no AttributeError")
+assert "scipy.integrate" not in sys.modules
+""",
+}
+
+
+@pytest.mark.parametrize("code", SEAM_CASES.values(), ids=SEAM_CASES.keys())
+def test_signals_quad_is_a_module_attribute_bound_on_first_use(code):
+    _run_fresh(code)
+
+
+def test_quadrature_that_misses_its_target_warns_nothing():
+    # QUADPACK's non-convergence message must not escape as an
+    # IntegrationWarning; the accuracy check reports it instead
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AccuracyError, match=r"did not converge .* estimate 1\.413e-0"):
+            analytic_signal(GaussianPulse(0.0, 1.0, 1.0), complex(0.7, -1e-7))

@@ -6,8 +6,9 @@ import pathlib
 import pytest
 
 PACKAGE = pathlib.Path(__file__).parent.parent / "src" / "pulsebeam"
+MODULES = sorted(PACKAGE.glob("*.py"))
 # __init__.py is left out: its imports are the package's public re-exports
-SOURCES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+SOURCES = [path for path in MODULES if path.name != "__init__.py"]
 
 
 def _unused_imports(tree: ast.Module):
@@ -29,3 +30,37 @@ def _unused_imports(tree: ast.Module):
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+def _import_time_imports(tree: ast.Module):
+    """Modules a module imports while it is itself imported: all but function bodies."""
+    found = []
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.append(node.module)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_import_time_imports_skip_function_bodies():
+    tree = ast.parse(
+        "try:\n    import scipy.integrate\nexcept ImportError:\n    pass\n"
+        "def f():\n    from scipy.special import wofz\n"
+        "class C:\n    from scipy import linalg\n"
+    )
+    assert sorted(_import_time_imports(tree)) == ["scipy", "scipy.integrate"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_imports_scipy_at_import_time(path):
+    # scipy is loaded at the first quadrature (signals.quad), so a CLI call
+    # that never integrates does not pay for importing it
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = _import_time_imports(tree)
+    assert [name for name in names if name == "scipy" or name.startswith("scipy.")] == []
