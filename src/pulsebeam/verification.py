@@ -235,10 +235,13 @@ def check_spheroidal_residuals() -> CheckResult:
     normal, random = rng.standard_normal, rng.random
     while accepted < wanted:
         # Candidates are drawn one at a time, in the order of a point-by-point
-        # loop, and evaluated a block at a time; draws past the last accepted
-        # point are never read.  The draws go straight into arrays: a block
-        # of Python tuples grew the peak RSS of repeated runs by 2 MB.
-        gy, gx, units = np.empty((_BLOCK, 3)), np.empty((_BLOCK, 3)), np.empty((_BLOCK, 2))
+        # loop, and evaluated a block at a time.  A candidate yields at most
+        # one point, so a block of no more candidates than points still
+        # wanted never draws past the last accepted one.  The draws go
+        # straight into arrays: a block of Python tuples grew the peak RSS
+        # of repeated runs by 2 MB.
+        rows = min(_BLOCK, wanted - accepted)
+        gy, gx, units = np.empty((rows, 3)), np.empty((rows, 3)), np.empty((rows, 2))
         for row_y, draws, row_x in zip(gy, units, gx):
             normal(out=row_y)
             random(out=draws)
@@ -250,7 +253,7 @@ def check_spheroidal_residuals() -> CheckResult:
         norm_y, r, _, p, q, _, _ = _distance_block(x, y)
         # Both identities need p != 0 and 0 < |q| < a with sane conditioning.
         keep = ~((p < 0.05 * a) | (np.abs(q) < 0.05 * a) | (np.abs(q) > 0.95 * a))
-        keep = np.flatnonzero(keep)[: wanted - accepted]
+        keep = np.flatnonzero(keep)
         x, yhat, a, p, q = x[keep], yhat[keep], a[keep], p[keep], q[keep]
         rho_sq = _pow2(_rho_block(x, y[keep], norm_y[keep], r[keep]))
         x3 = _dot_rows(x, yhat)

@@ -167,3 +167,19 @@ def test_check_7_builds_no_link_objects(monkeypatch):
     monkeypatch.setattr(verification, "ConeVector", refuse)
     result = verification.check_duration_triangle()
     assert result.passed and result.detail == PINNED_DETAILS["7"]
+
+
+def test_check_3_draws_no_candidate_past_its_last_point(monkeypatch):
+    # 5 blocks of 4,096 = 20,480 candidates when every block was full-size;
+    # a block sized to the points still wanted stops at the 10,000th point
+    distance_block = verification._distance_block
+    rows = []
+
+    def counting(x, y, *args):
+        rows.append(len(x))
+        return distance_block(x, y, *args)
+
+    monkeypatch.setattr(verification, "_distance_block", counting)
+    result = verification.check_spheroidal_residuals()
+    assert result.passed and result.detail == PINNED_DETAILS["3"]
+    assert sum(rows) < 20_480

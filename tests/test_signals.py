@@ -1,9 +1,11 @@
+import cmath
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import types
 import warnings
 
 import numpy as np
@@ -21,6 +23,7 @@ from pulsebeam import (
     analytic_signal,
     fourier_transform,
     jump_of_signal,
+    signals,
     spectral_signal,
 )
 from pulsebeam.signals import (
@@ -554,3 +557,168 @@ def test_quadrature_that_misses_its_target_warns_nothing():
         warnings.simplefilter("error")
         with pytest.raises(AccuracyError, match=r"did not converge .* estimate 1\.413e-0"):
             analytic_signal(GaussianPulse(0.0, 1.0, 1.0), complex(0.7, -1e-7))
+
+
+# ---------------------------------------------------------------------------
+# _quad_complex evaluates the complex integrand once per node
+# ---------------------------------------------------------------------------
+
+
+def two_passes(func, lo, hi, limit):
+    """The form before the node store: two independent quad passes, each calling func."""
+    from scipy.integrate import quad
+
+    options = {"full_output": 1, "epsabs": 1e-15, "epsrel": 1e-12, "limit": limit}
+    re, re_err = quad(lambda u: func(u).real, lo, hi, **options)[:2]
+    im, im_err = quad(lambda u: func(u).imag, lo, hi, **options)[:2]
+    return complex(re, im), re_err + im_err
+
+
+@pytest.fixture
+def quad_calls(monkeypatch):
+    """Every _quad_complex call of the test, as (storing, lo, hi, limit, (value, estimate))."""
+    calls = []
+    quad_complex = signals._quad_complex
+
+    def recording(storing, lo, hi, limit=200):
+        result = quad_complex(storing, lo, hi, limit)
+        calls.append((storing, lo, hi, limit, result))
+        return result
+
+    monkeypatch.setattr(signals, "_quad_complex", recording)
+    return calls
+
+
+def quiet(evaluate, *args):
+    """Run an evaluation whose quadratures are under test; a missed target is fine."""
+    try:
+        evaluate(*args)
+    except AccuracyError:
+        pass
+
+
+def assert_two_pass_bits(calls, func):
+    """Each recorded value and estimate, as repr, is the two-pass form's over its panel."""
+    assert calls
+    for _, lo, hi, limit, (value, estimate) in calls:
+        want, want_estimate = two_passes(func, lo, hi, limit)
+        got = (repr(value.real), repr(value.imag), repr(estimate))
+        assert got == (repr(want.real), repr(want.imag), repr(want_estimate)), (lo, hi)
+    calls.clear()
+
+
+def test_gaussian_quadrature_is_bitwise_the_two_pass_form(quad_calls):
+    sig = GaussianPulse(center=0.4, width=0.7, amplitude=-1.3)
+    rng = np.random.default_rng(29)
+    t = rng.uniform(-4.0, 4.0, 300)
+    s = 10.0 ** rng.uniform(-3.0, 1.0, 300) * np.where(np.arange(300) % 2, 1.0, -1.0)
+    # the last tau misses the target (test_quadrature_that_misses_its_target_warns_nothing)
+    taus = [*map(complex, t.tolist(), (-s).tolist()), complex(0.7, -1e-7)]
+    for z in taus:
+        quiet(sig.analytic, z)
+        assert_two_pass_bits(quad_calls, lambda tp: sig.amplitude_at(tp) / (z - tp))
+
+
+def spectral_integrand(signal, t, s):
+    """spectral_signal's complex integrand, written as it was before the node store."""
+    if s > 0.0:
+        return lambda w: cmath.exp(complex(-w * s, -w * t)) * fourier_transform(signal, w)
+    return lambda w: cmath.exp(complex(w * s, w * t)) * fourier_transform(signal, -w)
+
+
+SPECTRAL_SIGNALS = {
+    "delta": DeltaDerivative(1),
+    "gaussian": GaussianPulse(center=0.4, width=0.7, amplitude=-1.3),
+    "sampled": seeded_wave(count=9),
+}
+
+
+@pytest.mark.parametrize("name", SPECTRAL_SIGNALS)
+def test_spectral_quadrature_is_bitwise_the_two_pass_form(quad_calls, name):
+    sig = SPECTRAL_SIGNALS[name]
+    for t, s in ((0.0, 0.5), (-0.0, -0.5), (1.5, 1.0), (3.0, -0.8), (-0.7, 0.05), (2.2, -3.0)):
+        quiet(spectral_signal, sig, t, s)
+        assert_two_pass_bits(quad_calls, spectral_integrand(sig, t, s))
+
+
+def test_sampled_oracle_quadrature_is_bitwise_the_two_pass_form(quad_calls):
+    sig = seeded_wave()
+    for z in [*oracle_taus("near")[:20], *oracle_taus("far")[:5], complex(50.0, 0.0)]:
+        _cauchy_quadrature(sig, z, sig.amplitude_at)
+        assert_two_pass_bits(quad_calls, lambda tp: sig.amplitude_at(tp) / (z - tp))
+
+
+def test_gaussian_evaluates_its_integrand_once_per_node(monkeypatch):
+    # GaussianPulse.analytic reads math.exp once per density evaluation
+    exponents = []
+
+    def counting_exp(x):
+        exponents.append(x)
+        return math.exp(x)
+
+    namespace = types.SimpleNamespace(**{name: getattr(math, name) for name in dir(math)})
+    namespace.exp = counting_exp
+    monkeypatch.setattr(signals, "math", namespace)
+    passes = []
+    quad = signals.quad
+
+    def noting(func, *args, **kwargs):
+        nodes = []
+        passes.append(nodes)
+
+        def node(t):
+            nodes.append(t)
+            return func(t)
+
+        return quad(node, *args, **kwargs)
+
+    monkeypatch.setattr(signals, "quad", noting)
+    sig = GaussianPulse(center=0.4, width=0.7, amplitude=-1.3)
+    rng = np.random.default_rng(31)
+    t = rng.uniform(-4.0, 4.0, 60)
+    s = 10.0 ** rng.uniform(-3.0, 1.0, 60) * np.where(np.arange(60) % 2, 1.0, -1.0)
+    for z in map(complex, t.tolist(), (-s).tolist()):
+        quiet(sig.analytic, z)
+    assert passes and len(passes) % 2 == 0
+    want = 0
+    for real_nodes, imag_nodes in zip(passes[0::2], passes[1::2]):
+        visited = set(real_nodes)
+        assert len(visited) == len(real_nodes)
+        want += len(visited) + len(set(imag_nodes) - visited)
+    assert len(exponents) == want
+    assert want < 0.6 * sum(map(len, passes))
+
+
+def test_the_node_store_is_freed_when_quad_complex_returns():
+    # the store and its real pass refer to each other; a cycle left behind
+    # would keep every store until the cycle collector runs
+    stores = []
+
+    def storing(imag):
+        stores.append(imag)
+        return signals._storing(lambda t: complex(math.cos(t), t) / (2.0 - t))(imag)
+
+    signals._quad_complex(storing, 0.0, 1.0)
+    store = stores.pop()
+    references = sys.getrefcount(store)  # counts the argument's reference too
+    assert len(store) > 0
+    assert references == 2
+
+
+def test_every_integrand_gives_the_same_bits_at_both_zeros(quad_calls):
+    # the node store is keyed by the float node, so -0.0 and 0.0 share an entry
+    sampled = SampledSignal((-1.0, 0.0, 0.5, 1.0), (0.0, 0.7, -0.3, 0.0))
+    for s in (0.5, -0.5):
+        quiet(analytic_signal, GaussianPulse(0.0, 1.0, 1.0), complex(-0.0, -s))
+        quiet(_cauchy_quadrature, sampled, complex(-0.0, -s), sampled.amplitude_at)
+        for sig in (DeltaDerivative(0), DeltaDerivative(1), GaussianPulse(0.0, 0.6, -2.0), sampled):
+            for t in (0.0, -0.0):
+                quiet(spectral_signal, sig, t, s)
+    assert len(quad_calls) == 2 * (2 + 3 + 4 * 2)
+    for storing, *_ in quad_calls:
+        bits = []
+        for node in (0.0, -0.0):
+            imag = {}
+            real = storing(imag)(node)
+            bits.append((real.hex(), imag[node].hex()))
+        assert bits[0] == bits[1]

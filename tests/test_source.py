@@ -64,3 +64,33 @@ def test_no_module_imports_scipy_at_import_time(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     names = _import_time_imports(tree)
     assert [name for name in names if name == "scipy" or name.startswith("scipy.")] == []
+
+
+def _quadrature_calls(tree: ast.Module):
+    """(function, line) of every call of a name ending in `quad`, by enclosing function."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", "")
+            if name.endswith("quad"):
+                found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_every_quadrature_goes_through_quad_complex():
+    # one place calls quad, so every quadrature uses the node store and the
+    # signals.quad attribute that a caller (the benchmark's tracer) may rebind
+    calls = {
+        path.name: _quadrature_calls(ast.parse(path.read_text(), filename=str(path)))
+        for path in MODULES
+    }
+    assert {name: [f for f, _ in found] for name, found in calls.items() if found} == {
+        "signals.py": ["_quad_complex", "_quad_complex"]
+    }
