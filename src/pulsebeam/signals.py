@@ -18,6 +18,14 @@ which this module evaluates as an independent second route.  The two
 routes agree identically on the Cauchy kernel (g0 = delta), which fixes
 both the transform convention and the overall sign.
 
+Since g0 is real, g(conj tau) = -conj g(tau) (Schwarz reflection): the
+upper half-plane mirrors the lower one.  A boundary-value jump
+g(t - i0+) - g(t + i0+) is therefore 2 Re g(t - i0+), and every jump
+here (`jump_of_signal`, and `wavelet.boundary_jump` through the shared
+`_jump_limit`) evaluates one side per rung of its ladder.  The identity
+is exact in floating point as well, up to the sign of a zero part (see
+`_jump_limit`).
+
 Three signal families are provided, each evaluating its own analytic
 signal and spectrum: derivatives of the delta impulse (closed forms),
 Gaussian pulses (Cauchy integral by adaptive Gauss-Kronrod quadrature on
@@ -611,28 +619,43 @@ def richardson_limit(eps_list: Sequence[float], values: Sequence[complex]):
     return best, estimate
 
 
+def _jump_limit(below: Callable[[float], complex], scale: float) -> complex:
+    """Boundary-value jump of a real signal's extension, extrapolated to eps -> 0+.
+
+    below(e) is the value on the lower side at rung e of DEFAULT_EPS_LADDER.
+    For a real g0 the analytic signal obeys g(conj tau) = -conj g(tau), so
+    the upper-side value is minus the conjugate of the lower one and the
+    jump below - above is 2 Re below: one evaluation per rung.  This holds
+    in floating point too: every step from tau to g (cmath.sqrt, cmath.log,
+    QUADPACK on a conjugated integrand, complex products and quotients) is
+    sign-symmetric in CPython, so the two-sided sample complex(2 Re, Im - Im)
+    is 2 Re bit for bit, except that a part that is exactly zero may differ
+    in its sign.  The tests keep the two-sided ladder as the oracle.  An
+    estimate above 1e-6 |limit| + 1e-9 scale raises AccuracyError carrying
+    the limit and the estimate.
+    """
+    eps = DEFAULT_EPS_LADDER
+    limit, est = richardson_limit(eps, [2.0 * below(e).real for e in eps])
+    if est > 1e-6 * abs(limit) + 1e-9 * scale:
+        raise AccuracyError(
+            f"boundary-jump extrapolation did not converge: estimate {est:.3e}",
+            value=limit,
+            estimate=est,
+        )
+    return limit
+
+
 def jump_of_signal(signal: DrivingSignal, t: float) -> float:
     """Boundary-value jump g(t - i 0+) - g(t + i 0+), extrapolated over DEFAULT_EPS_LADDER.
 
-    For a signal continuous at t the jump recovers g0(t) itself.  The
-    extrapolation must converge and yield a (numerically) real value;
-    otherwise an AccuracyError carrying the best estimate is raised.
+    For a signal continuous at t the jump recovers g0(t) itself.  Since
+    g0 is real, g(t + i e) = -conj g(t - i e), so each rung evaluates
+    g once, below the axis, and takes 2 Re g(t - i e) (see _jump_limit).
+    The extrapolation must converge; otherwise an AccuracyError carrying
+    the best estimate is raised.
     """
     t = as_scalar(t, "time")
-    eps = DEFAULT_EPS_LADDER
     if not signal.is_continuous_at(t):
         raise NonAnalyticPointError(f"driving signal is not continuous at t = {t:g}")
-    samples = [
-        analytic_signal(signal, complex(t, -e)) - analytic_signal(signal, complex(t, +e))
-        for e in eps
-    ]
-    limit, est = richardson_limit(eps, samples)
     scale = max(signal.peak_scale(), 1e-30)
-    if est + abs(limit.imag) > 1e-6 * abs(limit) + 1e-9 * scale:
-        raise AccuracyError(
-            "boundary-jump extrapolation did not converge: "
-            f"estimate {est:.3e}, residual imaginary part {limit.imag:.3e}",
-            value=limit,
-            estimate=est + abs(limit.imag),
-        )
-    return limit.real
+    return _jump_limit(lambda e: analytic_signal(signal, complex(t, -e)), scale).real

@@ -13,6 +13,13 @@ cut disk.  Two testable facts about its singular structure are exposed
 here: the finite-difference wave residual vanishes at second order away
 from the cut, and the boundary-value jump across real spacetime recovers
 the retarded field g0(t - r) / (4 pi r) of an ideal point source.
+
+The jump is the difference of W at the extensions +eps*y (tau below the
+real axis, the emitter's future-tube side) and -eps*y (the receiver's
+past-tube side).  Negating y conjugates rt and tau, and a real g0 has
+g(conj z) = -conj g(z), so the second value is minus the conjugate of
+the first and the jump is 2 Re W(+eps*y): each rung of the ladder costs
+one evaluation of g.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from .geometry import (
     segment_crosses_cut,
 )
 from .propagator import _require_interior
-from .signals import DEFAULT_EPS_LADDER, DrivingSignal, analytic_signal, richardson_limit
+from .signals import DEFAULT_EPS_LADDER, DrivingSignal, _jump_limit, analytic_signal
 from .spacetime import ConeVector, RealEvent, as_scalar, norm3
 
 _FOUR_PI = 4.0 * math.pi
@@ -88,10 +95,14 @@ def wavelet_eval(signal: DrivingSignal, x: RealEvent, y: ConeVector) -> complex:
 def boundary_jump(signal: DrivingSignal, x: RealEvent, y: ConeVector) -> complex:
     """Jump of the wavelet between its two boundary values across real spacetime.
 
-    The field is evaluated with the extension scaled to +eps*y (the side
-    that continues the reception-type parameterization) and to -eps*y (the
-    emission-type side), and the difference is extrapolated to eps -> 0+
-    over DEFAULT_EPS_LADDER.
+    The jump is W at the extension +eps*y (the side that continues the
+    reception-type parameterization, tau below the real axis) minus W at
+    -eps*y (the emission-type side), extrapolated to eps -> 0+ over
+    DEFAULT_EPS_LADDER.  Negating the extension conjugates rt and tau, and
+    for a real g0 the analytic signal obeys g(conj z) = -conj g(z), so
+    W(-eps*y) = -conj W(+eps*y), in floating point too (see
+    signals._jump_limit), and each rung evaluates one side only: the
+    jump is 2 Re W(+eps*y).
     For a signal continuous at t - r the limit equals g0(t - r)/(4 pi r),
     the retarded field of an ideal point source.
     """
@@ -110,20 +121,11 @@ def boundary_jump(signal: DrivingSignal, x: RealEvent, y: ConeVector) -> complex
             f"driving signal is not continuous at the retarded time {x.time - r:g}"
         )
 
-    def scaled(e):
+    def below(e):
         dist = _radial_distance(x.space, tuple(e * v for v in y.space))
         return _field(signal, dist, x.time, e * y.time)
 
-    samples = [scaled(e) - scaled(-e) for e in eps]
-    limit, est = richardson_limit(eps, samples)
-    scale = max(signal.peak_scale() / (_FOUR_PI * r), 1e-30)
-    if est > 1e-6 * abs(limit) + 1e-9 * scale:
-        raise AccuracyError(
-            f"boundary-jump extrapolation did not converge: estimate {est:.3e}",
-            value=limit,
-            estimate=est,
-        )
-    return limit
+    return _jump_limit(below, max(signal.peak_scale() / (_FOUR_PI * r), 1e-30))
 
 
 def _check_stencil(x: RealEvent, y: ConeVector, arms, guard_tol: float) -> None:

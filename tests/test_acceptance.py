@@ -21,14 +21,17 @@ from pulsebeam.verification import (
 )
 
 # Detail strings of the seeded sampling checks, as printed by the
-# point-by-point implementation they replaced.  A change to a seed, a
-# sample count or the draw order changes them.
+# point-by-point implementation they replaced, and of check 5's boundary
+# jumps.  A change to a seed, a sample count, the draw order or the jump's
+# ladder changes them.
 PINNED_DETAILS = {
     "1": "max rel residual: squares 4.69e-16, product 5.97e-16 over 100000 samples",
     "2": "bound slack min 0 (worst normalized excess p -1.0e-08, q -1.4e-05); "
     "on-axis equality residual 4.90e-16; oblique strictness ok",
     "3": "max surface-identity residual 6.04e-14 over 10000 regular points",
     "4": "min convergence order 1.999 (need >= 1.8), max |residual|/|W| at h=1e-2: 4.80e-04",
+    "5": "max rel error 8.19e-13 on 5x5 grid, max |imag| 0.00e+00, "
+    "pinned exp(-1/8)/(8 pi) case rel 7.71e-15",
     "6": "max rel amplitude change 1.30e-15 over 1000 moves; endpoint trio 0.00e+00",
     "7": "min normalized slack 1.11e-05 over 10000 links; bandwidth chain ok; "
     "parallel equality residual 2.28e-16",

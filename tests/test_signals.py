@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import types
@@ -460,6 +461,131 @@ def test_conjugate_symmetry(t, s, order):
     upper = analytic_signal(sig, complex(t, s))
     lower = analytic_signal(sig, complex(t, -s))
     assert upper == pytest.approx(-lower.conjugate(), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# reflection: g(conj z) = -conj g(z), so a jump needs one side
+# ---------------------------------------------------------------------------
+
+REFLECTED_SIGNALS = {
+    "delta-0": DeltaDerivative(0),
+    "delta-1": DeltaDerivative(1),
+    "delta-2": DeltaDerivative(2),
+    "delta-120": DeltaDerivative(120),
+    "gaussian": GaussianPulse(0.0, 1.0, 1.0),
+    "gaussian-narrow": GaussianPulse(0.4, 0.6, -1.7),
+    "sampled": seeded_wave(),
+}
+
+
+def outcome(evaluate, *args):
+    """repr of the value, or the error's type, text, value and estimate."""
+    try:
+        return repr(evaluate(*args))
+    except Exception as exc:
+        return (
+            type(exc).__name__,
+            str(exc),
+            repr(getattr(exc, "value", None)),
+            repr(getattr(exc, "estimate", None)),
+        )
+
+
+def assert_reflected(sig, z, exact):
+    """g(conj z) has the bits of -conj g(z); with exact=False a zero part may have either sign."""
+    try:
+        value = analytic_signal(sig, z)
+    except AccuracyError as exc:
+        with pytest.raises(AccuracyError) as mirror:
+            analytic_signal(sig, z.conjugate())
+        assert repr(mirror.value.estimate) == repr(exc.estimate), z
+        return False
+    want = -value.conjugate()
+    got = analytic_signal(sig, z.conjugate())
+    for part, wanted in ((got.real, want.real), (got.imag, want.imag)):
+        if exact or wanted != 0.0:
+            assert repr(part) == repr(wanted), z
+        else:
+            assert part == 0.0, z
+    return True
+
+
+@pytest.mark.parametrize("name", REFLECTED_SIGNALS)
+def test_analytic_signal_reflects_bit_for_bit(name):
+    sig = REFLECTED_SIGNALS[name]
+    rng = np.random.default_rng(43)
+    # the order-120 power overflows at the last tau on both sides
+    taus = [*near_taus(rng, 150), *far_taus(rng, 30), complex(0.05, -0.02)]
+    assert sum(assert_reflected(sig, z, exact=True) for z in taus) >= 150
+
+
+@pytest.mark.parametrize("name", REFLECTED_SIGNALS)
+def test_analytic_signal_reflects_on_the_imaginary_axis(name):
+    # at z.real = +-0.0 a part of g can be exactly zero (a delta's g is real
+    # or imaginary there), and x + (-x) = +0.0 leaves its sign unmirrored;
+    # every nonzero part still has the mirrored bits
+    sig = REFLECTED_SIGNALS[name]
+    for z in [complex(r, s) for r in (0.0, -0.0) for s in (-0.5, 0.5, -1e-3, 1e-3, -3.0)]:
+        assert_reflected(sig, z, exact=False)
+
+
+def two_sided_jump_of_signal(signal, t):
+    """jump_of_signal as written before the reflection identity: both sides at every rung."""
+    t = float(t)
+    eps = DEFAULT_EPS_LADDER
+    if not signal.is_continuous_at(t):
+        raise NonAnalyticPointError(f"driving signal is not continuous at t = {t:g}")
+    samples = [
+        analytic_signal(signal, complex(t, -e)) - analytic_signal(signal, complex(t, +e))
+        for e in eps
+    ]
+    limit, est = richardson_limit(eps, samples)
+    scale = max(signal.peak_scale(), 1e-30)
+    if est + abs(limit.imag) > 1e-6 * abs(limit) + 1e-9 * scale:
+        raise AccuracyError(
+            "boundary-jump extrapolation did not converge: "
+            f"estimate {est:.3e}, residual imaginary part {limit.imag:.3e}",
+            value=limit,
+            estimate=est + abs(limit.imag),
+        )
+    return limit.real
+
+
+# the two-sided limit is real to the bit, so its imaginary part printed as +-0
+DEAD_IMAGINARY_TERM = re.compile(r", residual imaginary part -?0\.000e\+00$")
+
+
+def test_jump_of_signal_is_bitwise_the_two_sided_ladder():
+    rng = np.random.default_rng(47)
+    kinds = {"value": 0, "ladder": 0, "rung": 0}
+    for name, sig in REFLECTED_SIGNALS.items():
+        times = [*rng.uniform(-2.0, 6.0, 40).tolist(), 0.0, -0.0, 0.05, 0.2]
+        for t in times:
+            want = outcome(two_sided_jump_of_signal, sig, t)
+            if not isinstance(want, str) and "boundary-jump" in want[1]:
+                text, dropped = DEAD_IMAGINARY_TERM.subn("", want[1])
+                assert dropped == 1, (name, t, want)
+                want = (want[0], text, *want[2:])
+            assert outcome(jump_of_signal, sig, t) == want, (name, t)
+            if isinstance(want, str):
+                kinds["value"] += 1
+            else:
+                kinds["ladder" if "boundary-jump" in want[1] else "rung"] += 1
+    # converged jumps, ladders that miss their target, and rungs or points that raise
+    assert min(kinds.values()) > 0, kinds
+
+
+def test_jump_of_signal_evaluates_one_side_per_rung(monkeypatch):
+    taus = []
+    evaluate = signals.analytic_signal
+
+    def counting(signal, tau):
+        taus.append(tau)
+        return evaluate(signal, tau)
+
+    monkeypatch.setattr(signals, "analytic_signal", counting)
+    jump_of_signal(GaussianPulse(), 0.5)
+    assert taus == [complex(0.5, -e) for e in DEFAULT_EPS_LADDER]
 
 
 # ---------------------------------------------------------------------------

@@ -5,19 +5,23 @@ import pytest
 from scipy.integrate import quad
 
 from pulsebeam import (
+    AccuracyError,
     CausalityError,
     ConeVector,
     DeltaDerivative,
     DomainError,
     GaussianPulse,
     RealEvent,
+    SampledSignal,
     SingularityProximityError,
     StencilPlacementError,
     boundary_jump,
     extended_propagator,
     wave_residual,
+    wavelet,
     wavelet_eval,
 )
+from pulsebeam.signals import DEFAULT_EPS_LADDER, richardson_limit
 
 FOUR_PI = 4.0 * math.pi
 
@@ -149,6 +153,141 @@ def test_boundary_jump_validation():
         )
     with pytest.raises(CausalityError):
         boundary_jump(signal, RealEvent((0, 0, 2), 1.0), ConeVector.null())
+
+
+# ---------------------------------------------------------------------------
+# one side per rung: the reflection identity against the two-sided ladder
+# ---------------------------------------------------------------------------
+
+
+def two_sided_ladder(signal, x, y):
+    """boundary_jump's ladder as written before the reflection identity.
+
+    Both sides at every rung, W(+eps y) - W(-eps y); the links below pass
+    boundary_jump's checks, which did not change.
+    """
+    eps = DEFAULT_EPS_LADDER
+
+    def scaled(e):
+        dist = wavelet._radial_distance(x.space, tuple(e * v for v in y.space))
+        return wavelet._field(signal, dist, x.time, e * y.time)
+
+    samples = [scaled(e) - scaled(-e) for e in eps]
+    limit, est = richardson_limit(eps, samples)
+    scale = max(signal.peak_scale() / (FOUR_PI * x.radius), 1e-30)
+    if est > 1e-6 * abs(limit) + 1e-9 * scale:
+        raise AccuracyError(
+            f"boundary-jump extrapolation did not converge: estimate {est:.3e}",
+            value=limit,
+            estimate=est,
+        )
+    return limit
+
+
+def outcome(evaluate, *args):
+    """repr of the value, or the error's type, text, value and estimate."""
+    try:
+        return repr(evaluate(*args))
+    except Exception as exc:
+        return (
+            type(exc).__name__,
+            str(exc),
+            repr(getattr(exc, "value", None)),
+            repr(getattr(exc, "estimate", None)),
+        )
+
+
+def bump(count=41, seed=3):
+    """A jittered sampled bump on [0, 4], zero at both ends."""
+    rng = np.random.default_rng(seed)
+    times = np.linspace(0.0, 4.0, count)
+    values = np.sin(np.pi * times / 4.0) ** 2 * rng.uniform(0.7, 1.3, count)
+    values[0] = values[-1] = 0.0
+    return SampledSignal(tuple(map(float, times)), tuple(map(float, values)))
+
+
+JUMP_SIGNALS = {
+    "delta-0": DeltaDerivative(0),
+    "delta-1": DeltaDerivative(1),
+    "delta-2": DeltaDerivative(2),
+    "delta-120": DeltaDerivative(120),
+    "gaussian": GaussianPulse(0.0, 1.0, 1.0),
+    "gaussian-narrow": GaussianPulse(0.4, 0.6, -1.7),
+    "sampled": bump(),
+}
+
+
+def seeded_links(rng, count):
+    """Events at r in [0.5, 4] retarded by -0.5 to 4.5, extensions of radius up to 1.2."""
+    links = []
+    for _ in range(count):
+        u, v = rng.standard_normal((2, 3))
+        r, a = rng.uniform(0.5, 4.0), rng.uniform(0.0, 1.2)
+        x = RealEvent(tuple((r * u / np.linalg.norm(u)).tolist()), float(r + rng.uniform(-0.5, 4.5)))
+        y = ConeVector(tuple((a * v / np.linalg.norm(v)).tolist()), float(a + rng.uniform(0.05, 1.5)))
+        links.append((x, y))
+    return links
+
+
+def imaginary_at_rung(space, y, rung):
+    """The link whose tau - rt is pure imaginary at one rung (rt is real there: x . y = 0)."""
+    e = DEFAULT_EPS_LADDER[rung]
+    return RealEvent(space, wavelet._radial_distance(space, tuple(e * v for v in y.space)).p), y
+
+
+# x . y = +-0.0, so complex_distance sees x3 = +-0.0 at both signs of eps;
+# the fourth and fifth make x3 = +0.0 on both sides, by cancellation.  A
+# pure imaginary tau - rt gives an odd delta order a zero real part whose
+# sign the two paths set differently; the limit does not see it.
+SIGNED_ZERO_LINKS = [
+    (RealEvent((1.0, 0.5, 0.0), 1.4), ConeVector((0.0, 0.0, 0.5), 1.0)),
+    (RealEvent((1.0, 0.5, -0.0), 1.4), ConeVector((0.0, 0.0, 0.5), 1.0)),
+    (RealEvent((-0.0, 2.0, 0.0), 2.3), ConeVector((0.0, 0.0, 0.8), 1.1)),
+    (RealEvent((1.0, -1.0, 0.3), 1.9), ConeVector((0.5, 0.5, 0.0), 0.9)),
+    (RealEvent((-1.0, 1.0, -0.3), 1.2), ConeVector((0.5, 0.5, 0.0), 0.9)),
+    imaginary_at_rung((1.2, -1.6, 0.0), ConeVector((0.0, 0.0, 0.5), 1.0), 0),
+    imaginary_at_rung((1.2, -1.6, -0.0), ConeVector((0.0, 0.0, -0.5), 0.8), 3),
+    # a temporal extension with t = r: pure imaginary at every rung
+    (RealEvent((0.0, 0.0, 2.0), 2.0), ConeVector((0.0, 0.0, 0.0), 0.7)),
+]
+
+
+def test_boundary_jump_is_bitwise_the_two_sided_ladder():
+    rng = np.random.default_rng(41)
+    kinds = {"value": 0, "ladder": 0, "rung": 0}
+    for name, signal in JUMP_SIGNALS.items():
+        for index, (x, y) in enumerate([*seeded_links(rng, 60), *SIGNED_ZERO_LINKS]):
+            if not signal.is_continuous_at(x.time - x.radius):
+                continue
+            want = outcome(two_sided_ladder, signal, x, y)
+            assert outcome(boundary_jump, signal, x, y) == want, (name, index)
+            if isinstance(want, str):
+                kinds["value"] += 1
+            else:
+                kinds["ladder" if "boundary-jump" in want[1] else "rung"] += 1
+    # converged jumps, ladders that miss their target, and rungs that raise
+    assert min(kinds.values()) > 0, kinds
+
+
+def test_boundary_jump_evaluates_one_side_per_rung(monkeypatch):
+    signals_seen, distances = [], []
+    analytic_signal, radial_distance = wavelet.analytic_signal, wavelet._radial_distance
+
+    def counting_signal(signal, tau):
+        signals_seen.append(tau)
+        return analytic_signal(signal, tau)
+
+    def counting_distance(*args):
+        distances.append(args)
+        return radial_distance(*args)
+
+    monkeypatch.setattr(wavelet, "analytic_signal", counting_signal)
+    monkeypatch.setattr(wavelet, "_radial_distance", counting_distance)
+    boundary_jump(GaussianPulse(0.0, 1.0, 1.0), RealEvent((0, 0, 2), 2.5), ConeVector((0, 0, 0.5), 1.0))
+    assert len(signals_seen) == len(DEFAULT_EPS_LADDER)
+    assert len(distances) == len(DEFAULT_EPS_LADDER)
+    # the lower side: tau - rt below the real axis
+    assert all(tau.imag < 0.0 for tau in signals_seen)
 
 
 # ---------------------------------------------------------------------------
