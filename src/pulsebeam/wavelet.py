@@ -15,8 +15,8 @@ from the cut, and the boundary-value jump across real spacetime recovers
 the retarded field g0(t - r) / (4 pi r) of an ideal point source.
 
 The jump is the difference of W at the extensions +eps*y (tau below the
-real axis, the emitter's future-tube side) and -eps*y (the receiver's
-past-tube side).  Negating y conjugates rt and tau, and a real g0 has
+real axis, the reception-type side) and -eps*y (the emission-type side).
+Negating y conjugates rt and tau, and a real g0 has
 g(conj z) = -conj g(z), so the second value is minus the conjugate of
 the first and the jump is 2 Re W(+eps*y): each rung of the ladder costs
 one evaluation of g.
