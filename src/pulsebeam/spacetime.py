@@ -4,6 +4,15 @@ Units: the propagation speed is 1, so all four components of an event or
 extension vector share one length unit.  Every type here is an immutable
 value and every operation a pure function; unrestricted concurrent use is
 safe.
+
+Validation happens once per value, where a value enters: the public
+functions and the constructors convert their inputs with float() and
+check that they are finite.  Results computed here from parts already
+validated (`ConeVector.__add__`, `RealEvent.__sub__` and `shifted`) are
+not converted again, but are still checked for finiteness, because a sum
+of finite floats can overflow; the errors are those of the constructors.
+A ConeVector classifies its parts with `_classify`, the comparison
+`cone_status` makes after its own validation.
 """
 
 from __future__ import annotations
@@ -18,6 +27,18 @@ from .errors import ValidationError
 Vec3 = Tuple[float, float, float]
 
 
+def _finite_vec(vals: Tuple[float, ...], what: str) -> Tuple[float, ...]:
+    if not all(map(math.isfinite, vals)):
+        raise ValidationError(f"{what} components must be finite, got {vals}")
+    return vals
+
+
+def _finite_scalar(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise ValidationError(f"{what} must be finite, got {value}")
+    return value
+
+
 def _as_vec(values: Sequence[float], n: int, what: str) -> Tuple[float, ...]:
     try:
         vals = tuple(map(float, values))
@@ -25,9 +46,7 @@ def _as_vec(values: Sequence[float], n: int, what: str) -> Tuple[float, ...]:
         raise ValidationError(f"{what} must be {n} numbers, got {values!r}") from None
     if len(vals) != n:
         raise ValidationError(f"{what} must have exactly {n} components, got {len(vals)}")
-    if not all(map(math.isfinite, vals)):
-        raise ValidationError(f"{what} components must be finite, got {vals}")
-    return vals
+    return _finite_vec(vals, what)
 
 
 def as_vec3(values: Sequence[float], what: str = "vector") -> Vec3:
@@ -43,9 +62,7 @@ def as_scalar(value: float, what: str = "scalar") -> float:
         value = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{what} must be a number, got {value!r}") from None
-    if not math.isfinite(value):
-        raise ValidationError(f"{what} must be finite, got {value}")
-    return value
+    return _finite_scalar(value, what)
 
 
 def norm3(v: Sequence[float]) -> float:
@@ -72,14 +89,39 @@ def cone_status(space: Sequence[float], time: float) -> ConeStatus:
     NULL_ENDPOINT is the exact zero vector, admitted so idealized point
     endpoints are representable.  Everything else is INVALID.
     """
-    space = as_vec3(space, "cone vector space part")
-    time = as_scalar(time, "cone vector time part")
+    return _classify(
+        as_vec3(space, "cone vector space part"), as_scalar(time, "cone vector time part")
+    )
+
+
+def _classify(space: Vec3, time: float) -> ConeStatus:
+    """`cone_status` of parts that are already finite floats."""
     radius = norm3(space)
     if time > radius:
         return ConeStatus.INTERIOR
     if time == 0.0 and radius == 0.0:
         return ConeStatus.NULL_ENDPOINT
     return ConeStatus.INVALID
+
+
+def _require_admissible(space: Vec3, time: float) -> None:
+    if _classify(space, time) is ConeStatus.INVALID:
+        raise ValidationError(
+            "extension must lie strictly inside the future cone (time > |space|) "
+            f"or be exactly zero, got space={space}, time={time}"
+        )
+
+
+def _from_parts(cls, space: Vec3, time: float, what: str):
+    """cls(space, time) for float parts computed from validated ones.
+
+    The parts are checked for finiteness, under the constructor's names
+    ("{what} space part", "{what} time part"), but not converted again.
+    """
+    value = object.__new__(cls)
+    object.__setattr__(value, "space", _finite_vec(space, f"{what} space part"))
+    object.__setattr__(value, "time", _finite_scalar(time, f"{what} time part"))
+    return value
 
 
 @dataclass(frozen=True)
@@ -98,15 +140,19 @@ class RealEvent:
         return norm3(self.space)
 
     def __sub__(self, other: "RealEvent") -> "RealEvent":
-        return RealEvent(
+        return _from_parts(
+            RealEvent,
             tuple(a - b for a, b in zip(self.space, other.space)),
             self.time - other.time,
+            "event",
         )
 
     def shifted(self, delta: Sequence[float]) -> "RealEvent":
         """Translate by a 4-vector (dx1, dx2, dx3, dt)."""
         d = as_vec4(delta, "translation")
-        return RealEvent(tuple(a + b for a, b in zip(self.space, d[:3])), self.time + d[3])
+        return _from_parts(
+            RealEvent, tuple(a + b for a, b in zip(self.space, d[:3])), self.time + d[3], "event"
+        )
 
 
 @dataclass(frozen=True)
@@ -127,11 +173,7 @@ class ConeVector:
         time = as_scalar(self.time, "extension time part")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "time", time)
-        if cone_status(space, time) is ConeStatus.INVALID:
-            raise ValidationError(
-                "extension must lie strictly inside the future cone (time > |space|) "
-                f"or be exactly zero, got space={space}, time={time}"
-            )
+        _require_admissible(space, time)
 
     @classmethod
     def null(cls) -> "ConeVector":
@@ -151,9 +193,13 @@ class ConeVector:
 
     def __add__(self, other: "ConeVector") -> "ConeVector":
         # The future cone is convex, so interior + interior stays interior
-        # and adding a null endpoint changes nothing.
-        return ConeVector(
+        # and adding a null endpoint changes nothing; a rounded sum can
+        # still land on the boundary, and is refused there.
+        total = _from_parts(
+            ConeVector,
             tuple(a + b for a, b in zip(self.space, other.space)),
             self.time + other.time,
+            "extension",
         )
-
+        _require_admissible(total.space, total.time)
+        return total

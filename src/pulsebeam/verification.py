@@ -20,10 +20,15 @@ through the cheapest numpy call with the same bits.  A scalar
 is a row filled by `rng.standard_normal(out=...)` and scaled by
 `_unit_rows`, a sign `rng.choice([-1.0, 1.0])` is
 `(-1.0, 1.0)[rng.integers(0, 2)]`, and `10.0 ** u` goes through `_pow10`.
-The arithmetic then runs on the arrays.  Check 7 builds no `Channel`: `_link_durations` does
-the operations of `ConeVector.__add__` and `channel_metrics` on flat
-arrays, and `channel_metrics` on the built links stays its oracle in the
-tests.
+The arithmetic then runs on the arrays.  Check 6 cannot draw ahead, since
+the number of its eta trials depends on the data, so it draws one link
+at a time into Python floats with the same bits (`_unit3` is `_unit_rows`
+on one row).  Checks 6 and 7 build no `Channel`, `ConeVector` or
+`RealEvent`: `_link_durations` does the operations of `ConeVector.__add__`
+and `channel_metrics` on flat arrays, and `_translation_trials` those of
+`Channel`, `channel_translate` and `channel_amplitude` on float tuples,
+with their cone tests and their errors.  The object routes stay the
+oracles in the tests.
 """
 
 from __future__ import annotations
@@ -36,27 +41,44 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from itertools import repeat
+from operator import add, sub
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .channel import (
-    Channel,
-    channel_amplitude,
-    channel_translate,
-    gain_scan,
+from .channel import gain_scan
+from .errors import ConeViolationError, ValidationError
+from .geometry import (
+    _BLOCK,
+    NEAR_CIRCLE_REL_TOL,
+    _distance,
+    _distance_block,
+    _dot_rows,
+    _rho_block,
+    complex_distance,
 )
-from .errors import ValidationError
-from .geometry import _BLOCK, _distance_block, _dot_rows, _rho_block, complex_distance
-from .propagator import _EIGHT_PI_SQ, beam_profile, extended_propagator, far_zone_propagator
+from .propagator import (
+    _EIGHT_PI_SQ,
+    _require_interior,
+    beam_profile,
+    extended_propagator,
+    far_zone_propagator,
+)
 from .signals import (
     DeltaDerivative,
     GaussianPulse,
     analytic_signal,
     spectral_signal,
 )
-from .spacetime import ConeVector, RealEvent, cone_status, ConeStatus
-from .wavelet import _FOUR_PI, boundary_jump, wave_residual, wavelet_eval
+from .spacetime import ConeStatus, ConeVector, RealEvent, _classify, _require_admissible, dot3
+from .wavelet import (
+    _FOUR_PI,
+    _field,
+    _radial_distance,
+    boundary_jump,
+    wave_residual,
+    wavelet_eval,
+)
 
 
 @dataclass(frozen=True)
@@ -364,78 +386,126 @@ def check_hyperfunction_jump() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _interior_extents(rng: np.random.Generator, count: int, min_margin: float):
-    """`count` interior extents (space rows, lags), drawn one extent at a time."""
-    direction, units = _direction_draws(rng, count, 2)
-    radius = _uniform(0.2, 1.0, units[:, 0])
-    margin = _uniform(min_margin, min_margin + 0.8, units[:, 1])
-    return radius[:, None] * direction, radius + margin
+def _unit3(g0: float, g1: float, g2: float) -> Tuple[float, float, float]:
+    """`_unit_rows` on one row of draws, in Python floats, bit for bit."""
+    norm = math.sqrt((g0 * g0 + g1 * g1) + g2 * g2)
+    if norm < 1e-12:
+        norm = 1.0
+    return g0 / norm, g1 / norm, g2 / norm
 
 
-def _random_channel(rng: np.random.Generator) -> Channel:
-    while True:
-        space, lag = _interior_extents(rng, 2, min_margin=0.5)
-        emitter_extent = ConeVector(space[0].tolist(), float(lag[0]))
-        receiver_extent = ConeVector(space[1].tolist(), float(lag[1]))
-        center = rng.uniform(-2.0, 2.0, size=3)
-        direction = _unit_rows(rng.standard_normal((1, 3)))[0].tolist()
-        separation = _uniform(3.0, 6.0, rng.random())
-        t_e = _uniform(-1.0, 1.0, rng.random())
-        emitter_center = RealEvent(tuple(float(c) for c in center), t_e)
-        receiver_center = RealEvent(
-            tuple(float(c + separation * d) for c, d in zip(center, direction)),
-            t_e + separation + _uniform(-0.3, 0.3, rng.random()),
-        )
-        ch = Channel(emitter_center, emitter_extent, receiver_center, receiver_extent)
-        combined = ch.combined_extent
-        dist = complex_distance(ch.separation.space, combined.space)
-        if dist.near_circle or dist.on_cut or dist.magnitude < 0.3:
-            continue
-        return ch
+def _extent_draw(normal, random) -> Tuple[float, ...]:
+    """One extent (x1, x2, x3, lag) of `_interior_extents` with min_margin 0.5.
+
+    An extent that is not interior raises `ConeVector`'s error.
+    """
+    d = _unit3(*normal(3).tolist())
+    u_radius, u_margin = random(2).tolist()
+    radius = _uniform(0.2, 1.0, u_radius)
+    space = (radius * d[0], radius * d[1], radius * d[2])
+    lag = radius + _uniform(0.5, 0.5 + 0.8, u_margin)
+    _require_admissible(space, lag)
+    return (*space, lag)
+
+
+def _link_geometry(e, r, c_e, c_r):
+    """Combined extent and separation of a link, as `Channel` forms them.
+
+    Extents and centers are 4-tuples (x1, x2, x3, t).  A combined extent
+    that is not interior raises CausalityError.
+    """
+    y = tuple(map(add, e, r))
+    _require_interior(y[3], math.hypot(y[0], y[1], y[2]))
+    return y, tuple(map(sub, c_r, c_e))
+
+
+def _flat_distance(x, y, degenerate):
+    """`complex_distance(x, y)` on the first three parts of float tuples, unvalidated.
+
+    A zero extension y goes to `degenerate(x, y)` instead, which raises
+    (`complex_distance`) or takes the Euclidean distance (`_radial_distance`).
+    """
+    a = math.hypot(y[0], y[1], y[2])
+    if a == 0.0:
+        return degenerate(x[:3], y[:3])
+    return _distance(a, math.hypot(x[0], x[1], x[2]), dot3(x, y) / a, NEAR_CIRCLE_REL_TOL * a)
+
+
+def _translated(link, xi, eta):
+    """`channel_translate(ch, xi, eta)`'s combined extent and separation, on float tuples.
+
+    The emitter extent gains eta and the receiver extent loses it: v + 1.0*d
+    is v + d and v + (-1.0*d) is v - d, bit for bit.
+    """
+    e, r, c_e, c_r = link
+    e, r = tuple(map(add, e, eta)), tuple(map(sub, r, eta))
+    for extent, which in ((e, "emitter"), (r, "receiver")):
+        if _classify(extent[:3], extent[3]) is ConeStatus.INVALID:
+            raise ConeViolationError(
+                f"translated {which} extent leaves the admissible cone states "
+                f"(space={extent[:3]}, time={extent[3]:g})"
+            )
+    return _link_geometry(e, r, tuple(map(add, c_e, xi)), tuple(map(add, c_r, xi)))
+
+
+def _translation_trials(rng: np.random.Generator, signal, count: int):
+    """Check 6's `count` links, each with its eta and its four amplitudes.
+
+    Yields (eta, [reference, moved, point receiver, point emitter]) per
+    link, with the draws, the floating-point operations and the errors of
+    building each link as a `Channel`, moving it with `channel_translate`
+    and evaluating it with `channel_amplitude`, but without those objects.
+    A link is redrawn when its complex distance is near the branch circle,
+    on the cut, or below 0.3 in magnitude.
+    """
+    normal, random = rng.standard_normal, rng.random
+    zero = (0.0, 0.0, 0.0, 0.0)
+    for _ in range(count):
+        while True:
+            e, r = _extent_draw(normal, random), _extent_draw(normal, random)
+            center = [_uniform(-2.0, 2.0, u) for u in random(3).tolist()]
+            d = _unit3(*normal(3).tolist())
+            u_separation, u_time, u_jitter = random(3).tolist()
+            separation = _uniform(3.0, 6.0, u_separation)
+            t_e = _uniform(-1.0, 1.0, u_time)
+            c_e = (*center, t_e)
+            c_r = (
+                *(c + separation * v for c, v in zip(center, d)),
+                t_e + separation + _uniform(-0.3, 0.3, u_jitter),
+            )
+            y, x = _link_geometry(e, r, c_e, c_r)
+            dist = _flat_distance(x, y, complex_distance)
+            if not (dist.near_circle or dist.on_cut or dist.magnitude < 0.3):
+                break
+        link = (e, r, c_e, c_r)
+        reference = _field(signal, dist, x[3], y[3])
+        xi = tuple(_uniform(-1.0, 1.0, u) for u in random(4).tolist())
+        scale = 0.15 * min(e[3] - math.hypot(*e[:3]), r[3] - math.hypot(*r[:3]))
+        for _attempt in range(50):
+            # rng.normal(0.0, scale) is 0.0 + scale * rng.standard_normal()
+            eta = tuple(0.0 + scale * z for z in normal(4).tolist())
+            e_moved, r_moved = tuple(map(add, e, eta)), tuple(map(sub, r, eta))
+            if e_moved[3] > math.hypot(*e_moved[:3]) and r_moved[3] > math.hypot(*r_moved[:3]):
+                break
+        else:
+            eta = zero
+        # The trio: the original link, an idealized event receiver, and an
+        # idealized event emitter, all equivalent.
+        amplitudes = [reference]
+        for shift, exchange in ((xi, eta), (zero, r), (zero, tuple(-v for v in e))):
+            y, x = _translated(link, shift, exchange)
+            amplitudes.append(_field(signal, _flat_distance(x, y, _radial_distance), x[3], y[3]))
+        yield eta, amplitudes
 
 
 def check_translation_invariance() -> CheckResult:
     rng = np.random.default_rng(20260806)
-    signal = DeltaDerivative(0)
     worst = 0.0
     worst_trio = 0.0
-    for _ in range(1000):
-        ch = _random_channel(rng)
-        reference = channel_amplitude(ch, signal)
-        xi = tuple(float(v) for v in rng.uniform(-1.0, 1.0, size=4))
-        margin = min(
-            ch.emitter_extent.time - ch.emitter_extent.radius,
-            ch.receiver_extent.time - ch.receiver_extent.radius,
-        )
-        eta = (0.0, 0.0, 0.0, 0.0)
-        for _attempt in range(50):
-            trial = tuple(float(v) for v in rng.normal(scale=0.15 * margin, size=4))
-            e_space = tuple(a + b for a, b in zip(ch.emitter_extent.space, trial[:3]))
-            r_space = tuple(a - b for a, b in zip(ch.receiver_extent.space, trial[:3]))
-            if (
-                cone_status(e_space, ch.emitter_extent.time + trial[3])
-                is ConeStatus.INTERIOR
-                and cone_status(r_space, ch.receiver_extent.time - trial[3])
-                is ConeStatus.INTERIOR
-            ):
-                eta = trial
-                break
-        moved = channel_translate(ch, xi, eta)
-        worst = max(
-            worst, abs(channel_amplitude(moved, signal) - reference) / abs(reference)
-        )
-        # The trio: the original link, an idealized event receiver, and an
-        # idealized event emitter, all equivalent.
-        to_receiver = (*ch.receiver_extent.space, ch.receiver_extent.time)
-        to_emitter = tuple(-v for v in (*ch.emitter_extent.space, ch.emitter_extent.time))
-        zero = (0.0, 0.0, 0.0, 0.0)
-        point_receiver = channel_translate(ch, zero, to_receiver)
-        point_emitter = channel_translate(ch, zero, to_emitter)
-        for variant in (point_receiver, point_emitter):
-            worst_trio = max(
-                worst_trio,
-                abs(channel_amplitude(variant, signal) - reference) / abs(reference),
-            )
+    for _eta, (reference, moved, *trio) in _translation_trials(rng, DeltaDerivative(0), 1000):
+        worst = max(worst, abs(moved - reference) / abs(reference))
+        for variant in trio:
+            worst_trio = max(worst_trio, abs(variant - reference) / abs(reference))
     passed = worst <= 1e-14 and worst_trio <= 1e-14
     return CheckResult(
         "6",
@@ -448,6 +518,14 @@ def check_translation_invariance() -> CheckResult:
 # ---------------------------------------------------------------------------
 # 7: duration triangle inequality and the bandwidth chain
 # ---------------------------------------------------------------------------
+
+
+def _interior_extents(rng: np.random.Generator, count: int, min_margin: float):
+    """`count` interior extents (space rows, lags), drawn one extent at a time."""
+    direction, units = _direction_draws(rng, count, 2)
+    radius = _uniform(0.2, 1.0, units[:, 0])
+    margin = _uniform(min_margin, min_margin + 0.8, units[:, 1])
+    return radius[:, None] * direction, radius + margin
 
 
 def _parallel_links(rng: np.random.Generator, count: int):

@@ -4,18 +4,25 @@ The checks themselves live in pulsebeam.verification so that the CLI
 `verify` subcommand and this module exercise the exact same code.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from pulsebeam import verification
-from pulsebeam.channel import Channel, channel_metrics
-from pulsebeam.spacetime import ConeVector, RealEvent
+from pulsebeam import channel, spacetime, verification
+from pulsebeam.channel import Channel, channel_amplitude, channel_metrics, channel_translate
+from pulsebeam.errors import CausalityError, ConeViolationError
+from pulsebeam.geometry import complex_distance
+from pulsebeam.signals import DeltaDerivative
+from pulsebeam.spacetime import ConeStatus, ConeVector, RealEvent, cone_status
 from pulsebeam.verification import (
     ACCEPTANCE_CHECKS,
     _interior_extents,
     _link_durations,
     _parallel_links,
+    _translation_trials,
     _uniform,
+    _unit3,
     _unit_rows,
     _unit_vectors,
 )
@@ -65,9 +72,12 @@ def test_single_unit_vector_draw_matches_the_array_draw():
         want[k] = _unit_vectors(old, 1)[0]
         old.uniform(0.0, 1.0)
     assert np.array_equal(_bits(_unit_rows(g)), _bits(want))
-    # one row drawn on its own, as checks 4 and 6 draw it
+    # one row drawn on its own, as check 4 draws it, and in Python floats,
+    # as check 6 draws it
     for _ in range(1_000):
         one = _unit_rows(new.standard_normal((1, 3)))[0]
+        assert np.array_equal(_bits(one), _bits(_unit_vectors(old, 1)[0]))
+        one = _unit3(*new.standard_normal(3).tolist())
         assert np.array_equal(_bits(one), _bits(_unit_vectors(old, 1)[0]))
 
 
@@ -162,14 +172,158 @@ def test_check_7_flat_durations_match_channel_metrics():
             assert np.array_equal(_bits(got[: len(links)]), _bits(expected))
 
 
-def test_check_7_builds_no_link_objects(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("check 7 built a link object")
+def _refuse_link_objects(monkeypatch):
+    """Make every link type and link function raise, where it lives and in verification."""
 
-    monkeypatch.setattr(verification, "Channel", refuse)
-    monkeypatch.setattr(verification, "ConeVector", refuse)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the check built a link object")
+
+    for module, name in (
+        (channel, "Channel"),
+        (channel, "channel_translate"),
+        (channel, "channel_amplitude"),
+        (channel, "channel_metrics"),
+        (spacetime, "ConeVector"),
+        (spacetime, "RealEvent"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+        # and the name in verification: ConeVector and RealEvent are there for
+        # checks 4 and 5, and a new import of any other would be caught
+        monkeypatch.setattr(verification, name, refuse, raising=False)
+
+
+def test_check_7_builds_no_link_objects(monkeypatch):
+    _refuse_link_objects(monkeypatch)
     result = verification.check_duration_triangle()
     assert result.passed and result.detail == PINNED_DETAILS["7"]
+
+
+def _random_channel(rng):
+    """A link of check 6, drawn and built as objects: the oracle's link."""
+    while True:
+        extents = []
+        for _ in range(2):
+            direction = _unit_vectors(rng, 1)[0]
+            radius = rng.uniform(0.2, 1.0)
+            lag = radius + rng.uniform(0.5, 0.5 + 0.8)
+            extents.append(ConeVector(tuple((radius * direction).tolist()), lag))
+        center = rng.uniform(-2.0, 2.0, size=3)
+        direction = _unit_vectors(rng, 1)[0]
+        separation = rng.uniform(3.0, 6.0)
+        t_e = rng.uniform(-1.0, 1.0)
+        emitter_center = RealEvent(tuple(center.tolist()), t_e)
+        receiver_center = RealEvent(
+            tuple((center + separation * direction).tolist()),
+            t_e + separation + rng.uniform(-0.3, 0.3),
+        )
+        ch = Channel(emitter_center, extents[0], receiver_center, extents[1])
+        dist = complex_distance(ch.separation.space, ch.combined_extent.space)
+        if not (dist.near_circle or dist.on_cut or dist.magnitude < 0.3):
+            return ch
+
+
+def test_check_6_flat_amplitudes_match_the_link_objects():
+    """Oracle: check 6's 1,000 links built, moved and evaluated as objects."""
+    rng = np.random.default_rng(20260806)
+    signal = DeltaDerivative(0)
+    etas, amplitudes = [], []
+    for _ in range(1_000):
+        ch = _random_channel(rng)
+        xi = tuple(rng.uniform(-1.0, 1.0, size=4).tolist())
+        e, r = ch.emitter_extent, ch.receiver_extent
+        margin = min(e.time - e.radius, r.time - r.radius)
+        eta = (0.0, 0.0, 0.0, 0.0)
+        for _attempt in range(50):
+            trial = tuple(rng.normal(scale=0.15 * margin, size=4).tolist())
+            e_space = tuple(a + b for a, b in zip(e.space, trial[:3]))
+            r_space = tuple(a - b for a, b in zip(r.space, trial[:3]))
+            if (
+                cone_status(e_space, e.time + trial[3]) is ConeStatus.INTERIOR
+                and cone_status(r_space, r.time - trial[3]) is ConeStatus.INTERIOR
+            ):
+                eta = trial
+                break
+        zero = (0.0, 0.0, 0.0, 0.0)
+        links = (
+            ch,
+            channel_translate(ch, xi, eta),
+            channel_translate(ch, zero, (*r.space, r.time)),
+            channel_translate(ch, zero, tuple(-v for v in (*e.space, e.time))),
+        )
+        etas.append(eta)
+        amplitudes.append([channel_amplitude(link, signal) for link in links])
+
+    flat = list(_translation_trials(np.random.default_rng(20260806), signal, 1_000))
+    assert np.array_equal(_bits([eta for eta, _ in flat]), _bits(etas))
+    got = np.asarray([values for _, values in flat], dtype=complex)
+    want = np.asarray(amplitudes, dtype=complex)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # some moves change the amplitude's last bits, so the moved links are compared
+    assert (want[:, 0] != want[:, 1]).any()
+
+
+def test_check_6_translation_keeps_signed_zeros():
+    # centers and extents with zeros of both signs, moved as check 6 moves
+    # them: x + 0.0 turns -0.0 into +0.0, so each shift by zero still counts
+    emitter, receiver = (-0.0, 0.0, 0.5, 1.0), (0.0, -0.0, 0.5, 1.0)
+    c_e, c_r = (0.0, -0.0, 0.0, -0.0), (-0.0, 0.0, 4.0, 4.0)
+    ch = Channel(
+        RealEvent(c_e[:3], c_e[3]),
+        ConeVector(emitter[:3], emitter[3]),
+        RealEvent(c_r[:3], c_r[3]),
+        ConeVector(receiver[:3], receiver[3]),
+    )
+    zero = (0.0, 0.0, 0.0, 0.0)
+    for xi, eta in (
+        (zero, zero),
+        (zero, receiver),
+        (zero, tuple(-v for v in emitter)),
+        ((-0.0, 0.0, -0.0, 0.0), (-0.0, -0.0, 0.0, 0.1)),
+    ):
+        moved = channel_translate(ch, xi, eta)
+        want = [
+            (*moved.combined_extent.space, moved.combined_extent.time),
+            (*moved.separation.space, moved.separation.time),
+        ]
+        got = verification._translated((emitter, receiver, c_e, c_r), xi, eta)
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_check_6_flat_route_refuses_what_the_objects_refuse():
+    emitter, receiver = (0.0, 0.0, 0.5, 1.0), (0.0, 0.5, 0.0, 1.0)
+    centers = (0.0, 0.0, 0.0, 0.0), (4.0, 0.0, 0.0, 4.0)
+    ch = Channel(
+        RealEvent(centers[0][:3], centers[0][3]),
+        ConeVector(emitter[:3], emitter[3]),
+        RealEvent(centers[1][:3], centers[1][3]),
+        ConeVector(receiver[:3], receiver[3]),
+    )
+    zero = (0.0, 0.0, 0.0, 0.0)
+    for eta in ((0.0, 0.0, 0.0, 0.6), (0.0, 0.0, 0.0, -0.6), (0.0, 0.0, 1.0, 0.0)):
+        with pytest.raises(ConeViolationError) as want:
+            channel_translate(ch, zero, eta)
+        with pytest.raises(ConeViolationError) as got:
+            verification._translated((emitter, receiver, *centers), zero, eta)
+        assert str(got.value) == str(want.value)
+    # two point endpoints, and two interior extents whose rounded sum is lightlike
+    small = (0.0, 0.0, 0.125, math.nextafter(0.125, 1.0))
+    large = (0.0, 0.0, 3.9583333333333335, math.nextafter(3.9583333333333335, 5.0))
+    for e, r in ((zero, zero), (small, large)):
+        with pytest.raises(CausalityError):
+            Channel(
+                RealEvent(centers[0][:3], centers[0][3]),
+                ConeVector(e[:3], e[3]),
+                RealEvent(centers[1][:3], centers[1][3]),
+                ConeVector(r[:3], r[3]),
+            )
+        with pytest.raises(CausalityError):
+            verification._link_geometry(e, r, *centers)
+
+
+def test_check_6_builds_no_link_objects(monkeypatch):
+    _refuse_link_objects(monkeypatch)
+    result = verification.check_translation_invariance()
+    assert result.passed and result.detail == PINNED_DETAILS["6"]
 
 
 def test_check_3_draws_no_candidate_past_its_last_point(monkeypatch):

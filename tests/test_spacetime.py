@@ -117,3 +117,70 @@ def test_cone_status_scale_invariant(space, margin, factor):
     # and a past-pointing vector stays invalid under positive scaling
     assert cone_status(space, -time) is ConeStatus.INVALID
     assert cone_status(scaled_space, -factor * time) is ConeStatus.INVALID
+
+
+_BIG = 1e308
+# Each error as the library raised it before a sum skipped the float()
+# conversion: a sum of finite floats can overflow, and the check that
+# catches it keeps its words.
+ERRORS = {
+    "sum-space-overflow": (
+        lambda: ConeVector((_BIG, 0.0, 0.0), 1.5 * _BIG) + ConeVector((_BIG, 0.0, 0.0), 1.5 * _BIG),
+        "extension space part components must be finite, got (inf, 0.0, 0.0)",
+    ),
+    "sum-time-overflow": (
+        lambda: ConeVector((0.0, 0.0, 0.0), _BIG) + ConeVector((0.0, 0.0, 0.5), _BIG),
+        "extension time part must be finite, got inf",
+    ),
+    "sum-rounds-onto-boundary": (
+        # two interior vectors whose rounded sum lies on the lightlike boundary
+        lambda: ConeVector((0.0, 0.0, 0.125), math.nextafter(0.125, 1.0))
+        + ConeVector((0.0, 0.0, 3.9583333333333335), math.nextafter(3.9583333333333335, 5.0)),
+        "extension must lie strictly inside the future cone (time > |space|) or be exactly "
+        "zero, got space=(0.0, 0.0, 4.083333333333334), time=4.083333333333334",
+    ),
+    "boundary-extent": (
+        lambda: ConeVector((0, 0, 1), 1),
+        "extension must lie strictly inside the future cone (time > |space|) or be exactly "
+        "zero, got space=(0.0, 0.0, 1.0), time=1.0",
+    ),
+    "non-finite-space": (
+        lambda: ConeVector((0, 0, math.nan), 1.0),
+        "extension space part components must be finite, got (0.0, 0.0, nan)",
+    ),
+    "non-finite-time": (
+        lambda: ConeVector((0, 0, 0), math.inf),
+        "extension time part must be finite, got inf",
+    ),
+    "not-numbers": (
+        lambda: ConeVector(("a", 0, 0), 1.0),
+        "extension space part must be 3 numbers, got ('a', 0, 0)",
+    ),
+    "cone-status-non-finite": (
+        lambda: cone_status((0, 0, 1), -math.inf),
+        "cone vector time part must be finite, got -inf",
+    ),
+    "difference-overflow": (
+        lambda: RealEvent((_BIG, 0, 0), 0.0) - RealEvent((-_BIG, 0, 0), 0.0),
+        "event space part components must be finite, got (inf, 0.0, 0.0)",
+    ),
+    "difference-time-overflow": (
+        lambda: RealEvent((0, 0, 0), _BIG) - RealEvent((0, 0, 0), -_BIG),
+        "event time part must be finite, got inf",
+    ),
+    "shift-overflow": (
+        lambda: RealEvent((0, -_BIG, 0), 0.0).shifted((0.0, -_BIG, 0.0, 0.0)),
+        "event space part components must be finite, got (0.0, -inf, 0.0)",
+    ),
+    "shift-non-finite": (
+        lambda: RealEvent((0, 0, 0), 0.0).shifted((0.0, 0.0, 0.0, math.nan)),
+        "translation components must be finite, got (0.0, 0.0, 0.0, nan)",
+    ),
+}
+
+
+@pytest.mark.parametrize("make,message", ERRORS.values(), ids=ERRORS.keys())
+def test_validation_errors_keep_their_type_and_words(make, message):
+    with pytest.raises(ValidationError) as caught:
+        make()
+    assert type(caught.value) is ValidationError and str(caught.value) == message
