@@ -5,14 +5,13 @@ extension vector share one length unit.  Every type here is an immutable
 value and every operation a pure function; unrestricted concurrent use is
 safe.
 
-Validation happens once per value, where a value enters: the public
-functions and the constructors convert their inputs with float() and
-check that they are finite.  Results computed here from parts already
-validated (`ConeVector.__add__`, `RealEvent.__sub__` and `shifted`) are
-not converted again, but are still checked for finiteness, because a sum
-of finite floats can overflow; the errors are those of the constructors.
-A ConeVector classifies its parts with `_classify`, the comparison
-`cone_status` makes after its own validation.
+Validation happens where a value is built: the public functions and the
+constructors convert their inputs with float() and check that they are
+finite.  Sums and differences (`ConeVector.__add__`, `RealEvent.__sub__`
+and `shifted`) go through the constructors too, because a sum of finite
+floats can overflow.  A ConeVector classifies its converted parts with
+`_classify`, the comparison `cone_status` makes after its own validation,
+so no part is validated twice.
 """
 
 from __future__ import annotations
@@ -27,18 +26,6 @@ from .errors import ValidationError
 Vec3 = Tuple[float, float, float]
 
 
-def _finite_vec(vals: Tuple[float, ...], what: str) -> Tuple[float, ...]:
-    if not all(map(math.isfinite, vals)):
-        raise ValidationError(f"{what} components must be finite, got {vals}")
-    return vals
-
-
-def _finite_scalar(value: float, what: str) -> float:
-    if not math.isfinite(value):
-        raise ValidationError(f"{what} must be finite, got {value}")
-    return value
-
-
 def _as_vec(values: Sequence[float], n: int, what: str) -> Tuple[float, ...]:
     try:
         vals = tuple(map(float, values))
@@ -46,7 +33,9 @@ def _as_vec(values: Sequence[float], n: int, what: str) -> Tuple[float, ...]:
         raise ValidationError(f"{what} must be {n} numbers, got {values!r}") from None
     if len(vals) != n:
         raise ValidationError(f"{what} must have exactly {n} components, got {len(vals)}")
-    return _finite_vec(vals, what)
+    if not all(map(math.isfinite, vals)):
+        raise ValidationError(f"{what} components must be finite, got {vals}")
+    return vals
 
 
 def as_vec3(values: Sequence[float], what: str = "vector") -> Vec3:
@@ -62,7 +51,9 @@ def as_scalar(value: float, what: str = "scalar") -> float:
         value = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{what} must be a number, got {value!r}") from None
-    return _finite_scalar(value, what)
+    if not math.isfinite(value):
+        raise ValidationError(f"{what} must be finite, got {value}")
+    return value
 
 
 def norm3(v: Sequence[float]) -> float:
@@ -112,18 +103,6 @@ def _require_admissible(space: Vec3, time: float) -> None:
         )
 
 
-def _from_parts(cls, space: Vec3, time: float, what: str):
-    """cls(space, time) for float parts computed from validated ones.
-
-    The parts are checked for finiteness, under the constructor's names
-    ("{what} space part", "{what} time part"), but not converted again.
-    """
-    value = object.__new__(cls)
-    object.__setattr__(value, "space", _finite_vec(space, f"{what} space part"))
-    object.__setattr__(value, "time", _finite_scalar(time, f"{what} time part"))
-    return value
-
-
 @dataclass(frozen=True)
 class RealEvent:
     """A point (space, time) of real spacetime."""
@@ -140,19 +119,15 @@ class RealEvent:
         return norm3(self.space)
 
     def __sub__(self, other: "RealEvent") -> "RealEvent":
-        return _from_parts(
-            RealEvent,
+        return RealEvent(
             tuple(a - b for a, b in zip(self.space, other.space)),
             self.time - other.time,
-            "event",
         )
 
     def shifted(self, delta: Sequence[float]) -> "RealEvent":
         """Translate by a 4-vector (dx1, dx2, dx3, dt)."""
         d = as_vec4(delta, "translation")
-        return _from_parts(
-            RealEvent, tuple(a + b for a, b in zip(self.space, d[:3])), self.time + d[3], "event"
-        )
+        return RealEvent(tuple(a + b for a, b in zip(self.space, d[:3])), self.time + d[3])
 
 
 @dataclass(frozen=True)
@@ -193,13 +168,9 @@ class ConeVector:
 
     def __add__(self, other: "ConeVector") -> "ConeVector":
         # The future cone is convex, so interior + interior stays interior
-        # and adding a null endpoint changes nothing; a rounded sum can
-        # still land on the boundary, and is refused there.
-        total = _from_parts(
-            ConeVector,
+        # and adding a null endpoint changes nothing.
+        return ConeVector(
             tuple(a + b for a, b in zip(self.space, other.space)),
             self.time + other.time,
-            "extension",
         )
-        _require_admissible(total.space, total.time)
-        return total
+

@@ -23,12 +23,14 @@ is a row filled by `rng.standard_normal(out=...)` and scaled by
 The arithmetic then runs on the arrays.  Check 6 cannot draw ahead, since
 the number of its eta trials depends on the data, so it draws one link
 at a time into Python floats with the same bits (`_unit3` is `_unit_rows`
-on one row).  Checks 6 and 7 build no `Channel`, `ConeVector` or
-`RealEvent`: `_link_durations` does the operations of `ConeVector.__add__`
-and `channel_metrics` on flat arrays, and `_translation_trials` those of
-`Channel`, `channel_translate` and `channel_amplitude` on float tuples,
-with their cone tests and their errors.  The object routes stay the
-oracles in the tests.
+on one row).  Checks 6 and 7 run on flat values, not on `Channel`,
+`ConeVector` or `RealEvent` objects: `_link_durations` does the
+operations of `ConeVector.__add__` and `channel_metrics` on flat arrays,
+and `_translation_trials` those of `Channel`, `channel_translate` and
+`channel_amplitude` on float tuples, with their cone tests and their
+error types.  The object routes stay the oracles in the tests over every
+link, and check 6 also evaluates its first `_OBJECT_SAMPLE` links through
+them and fails if any of their amplitudes differs from the flat route's.
 """
 
 from __future__ import annotations
@@ -46,17 +48,14 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .channel import gain_scan
-from .errors import ConeViolationError, ValidationError
-from .geometry import (
-    _BLOCK,
-    NEAR_CIRCLE_REL_TOL,
-    _distance,
-    _distance_block,
-    _dot_rows,
-    _rho_block,
-    complex_distance,
+from .channel import (
+    Channel,
+    channel_amplitude,
+    channel_translate,
+    gain_scan,
 )
+from .errors import ConeViolationError, ValidationError
+from .geometry import _BLOCK, _distance_block, _dot_rows, _rho_block, complex_distance
 from .propagator import (
     _EIGHT_PI_SQ,
     _require_interior,
@@ -70,7 +69,7 @@ from .signals import (
     analytic_signal,
     spectral_signal,
 )
-from .spacetime import ConeStatus, ConeVector, RealEvent, _classify, _require_admissible, dot3
+from .spacetime import ConeStatus, ConeVector, RealEvent, _classify, _require_admissible
 from .wavelet import (
     _FOUR_PI,
     _field,
@@ -386,6 +385,14 @@ def check_hyperfunction_jump() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
+def _interior_extents(rng: np.random.Generator, count: int, min_margin: float):
+    """`count` interior extents (space rows, lags), drawn one extent at a time."""
+    direction, units = _direction_draws(rng, count, 2)
+    radius = _uniform(0.2, 1.0, units[:, 0])
+    margin = _uniform(min_margin, min_margin + 0.8, units[:, 1])
+    return radius[:, None] * direction, radius + margin
+
+
 def _unit3(g0: float, g1: float, g2: float) -> Tuple[float, float, float]:
     """`_unit_rows` on one row of draws, in Python floats, bit for bit."""
     norm = math.sqrt((g0 * g0 + g1 * g1) + g2 * g2)
@@ -419,18 +426,6 @@ def _link_geometry(e, r, c_e, c_r):
     return y, tuple(map(sub, c_r, c_e))
 
 
-def _flat_distance(x, y, degenerate):
-    """`complex_distance(x, y)` on the first three parts of float tuples, unvalidated.
-
-    A zero extension y goes to `degenerate(x, y)` instead, which raises
-    (`complex_distance`) or takes the Euclidean distance (`_radial_distance`).
-    """
-    a = math.hypot(y[0], y[1], y[2])
-    if a == 0.0:
-        return degenerate(x[:3], y[:3])
-    return _distance(a, math.hypot(x[0], x[1], x[2]), dot3(x, y) / a, NEAR_CIRCLE_REL_TOL * a)
-
-
 def _translated(link, xi, eta):
     """`channel_translate(ch, xi, eta)`'s combined extent and separation, on float tuples.
 
@@ -449,10 +444,11 @@ def _translated(link, xi, eta):
 
 
 def _translation_trials(rng: np.random.Generator, signal, count: int):
-    """Check 6's `count` links, each with its eta and its four amplitudes.
+    """Check 6's `count` links, each with its moves and its four amplitudes.
 
-    Yields (eta, [reference, moved, point receiver, point emitter]) per
-    link, with the draws, the floating-point operations and the errors of
+    Yields (link, xi, eta, [reference, moved, point receiver, point
+    emitter]) per link, the link as (emitter extent, receiver extent,
+    emitter center, receiver center) 4-tuples, with the draws, the floating-point operations and the errors of
     building each link as a `Channel`, moving it with `channel_translate`
     and evaluating it with `channel_amplitude`, but without those objects.
     A link is redrawn when its complex distance is near the branch circle,
@@ -474,7 +470,7 @@ def _translation_trials(rng: np.random.Generator, signal, count: int):
                 t_e + separation + _uniform(-0.3, 0.3, u_jitter),
             )
             y, x = _link_geometry(e, r, c_e, c_r)
-            dist = _flat_distance(x, y, complex_distance)
+            dist = complex_distance(x[:3], y[:3])
             if not (dist.near_circle or dist.on_cut or dist.magnitude < 0.3):
                 break
         link = (e, r, c_e, c_r)
@@ -494,38 +490,60 @@ def _translation_trials(rng: np.random.Generator, signal, count: int):
         amplitudes = [reference]
         for shift, exchange in ((xi, eta), (zero, r), (zero, tuple(-v for v in e))):
             y, x = _translated(link, shift, exchange)
-            amplitudes.append(_field(signal, _flat_distance(x, y, _radial_distance), x[3], y[3]))
-        yield eta, amplitudes
+            amplitudes.append(_field(signal, _radial_distance(x[:3], y[:3]), x[3], y[3]))
+        yield link, xi, eta, amplitudes
+
+
+# The first links of check 6 also go through the public link code, which
+# must give the flat route's amplitudes exactly.
+_OBJECT_SAMPLE = 10
+
+
+def _link_amplitudes(link, xi, eta, signal) -> List[complex]:
+    """The four amplitudes of `_translation_trials` through `Channel`,
+    `channel_translate` and `channel_amplitude`."""
+    e, r, c_e, c_r = link
+    ch = Channel(
+        RealEvent(c_e[:3], c_e[3]),
+        ConeVector(e[:3], e[3]),
+        RealEvent(c_r[:3], c_r[3]),
+        ConeVector(r[:3], r[3]),
+    )
+    zero = (0.0, 0.0, 0.0, 0.0)
+    moves = ((xi, eta), (zero, r), (zero, tuple(-v for v in e)))
+    return [channel_amplitude(ch, signal)] + [
+        channel_amplitude(channel_translate(ch, shift, exchange), signal)
+        for shift, exchange in moves
+    ]
 
 
 def check_translation_invariance() -> CheckResult:
     rng = np.random.default_rng(20260806)
+    signal = DeltaDerivative(0)
     worst = 0.0
     worst_trio = 0.0
-    for _eta, (reference, moved, *trio) in _translation_trials(rng, DeltaDerivative(0), 1000):
+    departs = None
+    for k, (link, xi, eta, amplitudes) in enumerate(_translation_trials(rng, signal, 1000)):
+        if (
+            k < _OBJECT_SAMPLE
+            and departs is None
+            and _link_amplitudes(link, xi, eta, signal) != amplitudes
+        ):
+            departs = k
+        reference, moved, *trio = amplitudes
         worst = max(worst, abs(moved - reference) / abs(reference))
         for variant in trio:
             worst_trio = max(worst_trio, abs(variant - reference) / abs(reference))
-    passed = worst <= 1e-14 and worst_trio <= 1e-14
-    return CheckResult(
-        "6",
-        "translation-invariance",
-        passed,
-        f"max rel amplitude change {worst:.2e} over 1000 moves; endpoint trio {worst_trio:.2e}",
-    )
+    passed = worst <= 1e-14 and worst_trio <= 1e-14 and departs is None
+    detail = f"max rel amplitude change {worst:.2e} over 1000 moves; endpoint trio {worst_trio:.2e}"
+    if departs is not None:
+        detail += f"; link {departs}: Channel amplitudes differ from the flat route"
+    return CheckResult("6", "translation-invariance", passed, detail)
 
 
 # ---------------------------------------------------------------------------
 # 7: duration triangle inequality and the bandwidth chain
 # ---------------------------------------------------------------------------
-
-
-def _interior_extents(rng: np.random.Generator, count: int, min_margin: float):
-    """`count` interior extents (space rows, lags), drawn one extent at a time."""
-    direction, units = _direction_draws(rng, count, 2)
-    radius = _uniform(0.2, 1.0, units[:, 0])
-    margin = _uniform(min_margin, min_margin + 0.8, units[:, 1])
-    return radius[:, None] * direction, radius + margin
 
 
 def _parallel_links(rng: np.random.Generator, count: int):

@@ -254,8 +254,8 @@ def test_check_6_flat_amplitudes_match_the_link_objects():
         amplitudes.append([channel_amplitude(link, signal) for link in links])
 
     flat = list(_translation_trials(np.random.default_rng(20260806), signal, 1_000))
-    assert np.array_equal(_bits([eta for eta, _ in flat]), _bits(etas))
-    got = np.asarray([values for _, values in flat], dtype=complex)
+    assert np.array_equal(_bits([eta for _, _, eta, _ in flat]), _bits(etas))
+    got = np.asarray([values for *_, values in flat], dtype=complex)
     want = np.asarray(amplitudes, dtype=complex)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     # some moves change the amplitude's last bits, so the moved links are compared
@@ -320,10 +320,42 @@ def test_check_6_flat_route_refuses_what_the_objects_refuse():
             verification._link_geometry(e, r, *centers)
 
 
-def test_check_6_builds_no_link_objects(monkeypatch):
-    _refuse_link_objects(monkeypatch)
+def test_check_6_builds_link_objects_only_for_its_sample(monkeypatch):
+    calls = {}
+
+    def counting(name, original):
+        def count(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        return count
+
+    names = ("Channel", "channel_translate", "channel_amplitude", "ConeVector", "RealEvent")
+    for name in names:
+        monkeypatch.setattr(verification, name, counting(name, getattr(verification, name)))
     result = verification.check_translation_invariance()
     assert result.passed and result.detail == PINNED_DETAILS["6"]
+    n = verification._OBJECT_SAMPLE
+    assert calls == {
+        "Channel": n,
+        "channel_translate": 3 * n,
+        "channel_amplitude": 4 * n,
+        "ConeVector": 2 * n,
+        "RealEvent": 2 * n,
+    }
+
+
+def test_check_6_fails_when_the_link_objects_depart_from_the_flat_route(monkeypatch):
+    # a public amplitude a few ulps off
+    amplitude = verification.channel_amplitude
+    monkeypatch.setattr(
+        verification, "channel_amplitude", lambda ch, signal: amplitude(ch, signal) * (1 + 1e-15)
+    )
+    result = verification.check_translation_invariance()
+    assert not result.passed
+    assert result.detail == (
+        PINNED_DETAILS["6"] + "; link 0: Channel amplitudes differ from the flat route"
+    )
 
 
 def test_check_3_draws_no_candidate_past_its_last_point(monkeypatch):

@@ -120,9 +120,9 @@ def test_cone_status_scale_invariant(space, margin, factor):
 
 
 _BIG = 1e308
-# Each error as the library raised it before a sum skipped the float()
-# conversion: a sum of finite floats can overflow, and the check that
-# catches it keeps its words.
+# Each error with its type and words.  A sum of finite floats can
+# overflow, so sums and differences are checked as the constructors check
+# their inputs.
 ERRORS = {
     "sum-space-overflow": (
         lambda: ConeVector((_BIG, 0.0, 0.0), 1.5 * _BIG) + ConeVector((_BIG, 0.0, 0.0), 1.5 * _BIG),
