@@ -16,6 +16,12 @@ y_r - eta), produces an equivalent link with identical amplitude.  The
 summed extension must be interior; each endpoint may individually be an
 idealized point (null extension).
 
+The two formulas of the link algebra, the summed extension (`_summed`)
+and the move (`_moved`), are written once, on (x1, x2, x3, t) float
+tuples, with their cone tests and their errors.  `Channel` and
+`channel_translate` build their objects from them, and acceptance check
+6 calls them without building any object.
+
 Durations and bandwidths: each endpoint can handle pulses no shorter
 than lag - radius, and the link as a whole no shorter than s - a, which
 by the triangle inequality is at least the sum of the endpoint durations,
@@ -28,13 +34,41 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import add, sub
 from typing import Sequence, Tuple
 
 from .errors import CausalityError, ConeViolationError, ValidationError
 from .propagator import _beam_peaks
 from .signals import DrivingSignal
-from .spacetime import ConeVector, RealEvent, as_scalar, as_vec4
+from .spacetime import ConeStatus, ConeVector, RealEvent, _classify, as_scalar, as_vec4
 from .wavelet import wavelet_eval
+
+
+def _summed(e: Tuple[float, ...], r: Tuple[float, ...]) -> Tuple[float, ...]:
+    """The combined extent e + r of two extents; it must be finite and interior."""
+    y = tuple(map(add, e, r))
+    if not math.hypot(y[0], y[1], y[2]) < y[3] < math.inf:
+        raise CausalityError(
+            "summed endpoint extension must be interior to the future cone; "
+            "two idealized point endpoints cannot form a link"
+        )
+    return y
+
+
+def _moved(e: Tuple[float, ...], r: Tuple[float, ...], eta: Tuple[float, ...]):
+    """The extents e + eta and r - eta; each must be finite and admissible.
+
+    The emitter is checked first.
+    """
+    moved = tuple(map(add, e, eta)), tuple(map(sub, r, eta))
+    for extent, which in zip(moved, ("emitter", "receiver")):
+        space, time = extent[:3], extent[3]
+        if time == math.inf or _classify(space, time) is ConeStatus.INVALID:
+            raise ConeViolationError(
+                f"translated {which} extent leaves the admissible cone states "
+                f"(space={space}, time={time:g})"
+            )
+    return moved
 
 
 @dataclass(frozen=True)
@@ -53,16 +87,9 @@ class Channel:
     combined_extent: ConeVector = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        try:
-            combined = self.emitter_extent + self.receiver_extent
-        except ValidationError:  # the rounded sum left the cone
-            combined = None
-        if combined is None or not combined.is_interior:
-            raise CausalityError(
-                "summed endpoint extension must be interior to the future cone; "
-                "two idealized point endpoints cannot form a link"
-            )
-        object.__setattr__(self, "combined_extent", combined)
+        e, r = self.emitter_extent, self.receiver_extent
+        y = _summed((*e.space, e.time), (*r.space, r.time))
+        object.__setattr__(self, "combined_extent", ConeVector(y[:3], y[3]))
 
     @property
     def separation(self) -> RealEvent:
@@ -92,25 +119,13 @@ def channel_translate(ch: Channel, real_shift: Sequence[float], imag_shift: Sequ
     """
     xi = as_vec4(real_shift, "real translation")
     eta = as_vec4(imag_shift, "imaginary translation")
-    new_extents = []
-    for extent, sign, which in (
-        (ch.emitter_extent, 1.0, "emitter"),
-        (ch.receiver_extent, -1.0, "receiver"),
-    ):
-        space = tuple(v + sign * d for v, d in zip(extent.space, eta[:3]))
-        time = extent.time + sign * eta[3]
-        try:
-            new_extents.append(ConeVector(space, time))
-        except ValidationError:
-            raise ConeViolationError(
-                f"translated {which} extent leaves the admissible cone states "
-                f"(space={space}, time={time:g})"
-            ) from None
+    e, r = ch.emitter_extent, ch.receiver_extent
+    e, r = _moved((*e.space, e.time), (*r.space, r.time), eta)
     return Channel(
         ch.emitter_center.shifted(xi),
-        new_extents[0],
+        ConeVector(e[:3], e[3]),
         ch.receiver_center.shifted(xi),
-        new_extents[1],
+        ConeVector(r[:3], r[3]),
     )
 
 

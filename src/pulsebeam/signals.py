@@ -214,7 +214,7 @@ class GaussianPulse(DrivingSignal):
 
             return real
 
-        return _cauchy_integral(self, z, storing)
+        return _cauchy_integral(self, z, storing, self.effective_support())
 
     def spectrum(self, omega: float) -> complex:
         sig = self.width
@@ -510,28 +510,14 @@ def analytic_signal(signal: DrivingSignal, tau: complex) -> complex:
     return value
 
 
-def _cauchy_quadrature(
-    signal: DrivingSignal, z: complex, density: Callable[[float], float]
+def _cauchy_integral(
+    signal: DrivingSignal, z: complex, storing: Callable, nodes: Sequence[float]
 ) -> complex:
-    """The Cauchy integral of density, the signal's pointwise value, by adaptive quadrature.
-
-    The tests' oracle for the Gaussian and the sampled closed form (with
-    density = signal.amplitude_at); z must lie off the support
-    (analytic_signal checks it).
-    """
-    return _cauchy_integral(signal, z, _storing(lambda tp: density(tp) / (z - tp)))
-
-
-def _cauchy_integral(signal: DrivingSignal, z: complex, storing: Callable) -> complex:
     """(1/(2 pi i)) integral g0(t)/(z - t) dt, checked against the target.
 
-    storing is `_quad_complex`'s storing form of g0(t)/(z - t).
+    storing is `_quad_complex`'s storing form of g0(t)/(z - t), integrated
+    over each panel between consecutive nodes.
     """
-    lo, hi = signal.effective_support()
-    if isinstance(signal, SampledSignal):
-        nodes = list(signal.times)
-    else:
-        nodes = [lo, hi]
     # Splitting each panel at the projection of tau keeps the adaptive
     # scheme sharp when tau sits close to the real axis.
     cut = z.real
@@ -570,16 +556,18 @@ def spectral_signal(signal: DrivingSignal, t: float, s: float) -> complex:
 
     damping = abs(s)
     upper = signal.spectral_limit(damping)
+    # quad's nodes are finite floats: fourier_transform would only validate them again
+    spectrum = signal.spectrum
     if s > 0.0:
 
         def integrand(w: float) -> complex:
-            return cmath.exp(complex(-w * s, -w * t)) * fourier_transform(signal, w)
+            return cmath.exp(complex(-w * s, -w * t)) * spectrum(w)
 
         prefactor = 1.0 / _TWO_PI
     else:
 
         def integrand(w: float) -> complex:
-            return cmath.exp(complex(w * s, w * t)) * fourier_transform(signal, -w)
+            return cmath.exp(complex(w * s, w * t)) * spectrum(-w)
 
         prefactor = -1.0 / _TWO_PI
 

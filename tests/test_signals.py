@@ -31,11 +31,22 @@ from pulsebeam.signals import (
     DEFAULT_EPS_LADDER,
     DEFAULT_REL_TOL,
     MAX_DELTA_ORDER,
-    _cauchy_quadrature,
     richardson_limit,
 )
 
 TWO_PI_I = 2j * math.pi
+
+
+def _cauchy_quadrature(signal, z, density):
+    """The Cauchy integral of density, the signal's pointwise value, by adaptive quadrature.
+
+    The oracle for the Gaussian and the sampled closed form (with density =
+    signal.amplitude_at), on the Gaussian's panels or between the samples;
+    z must lie off the support (analytic_signal checks it).
+    """
+    nodes = signal.times if isinstance(signal, SampledSignal) else signal.effective_support()
+    storing = signals._storing(lambda tp: density(tp) / (z - tp))
+    return signals._cauchy_integral(signal, z, storing, nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -94,3 +94,41 @@ def test_every_quadrature_goes_through_quad_complex():
     assert {name: [f for f, _ in found] for name, found in calls.items() if found} == {
         "signals.py": ["_quad_complex", "_quad_complex"]
     }
+
+
+def _private_definitions(tree: ast.Module):
+    """(line, name) of each module-level private function, class or assignment."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    # dunders such as __getattr__ are read by Python itself
+    return [(line, name) for line, name in found if name[0] == "_" and not name.endswith("__")]
+
+
+def _references(tree: ast.Module):
+    """Names a module reads, plainly or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_private_definition_has_a_caller():
+    # a private helper that nothing in the package reads is dead code; an
+    # oracle that only the tests use lives in the tests
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+    referenced = set().union(*map(_references, trees.values()))
+    unused = [
+        f"{name}:{line} {private}"
+        for name, tree in trees.items()
+        for line, private in _private_definitions(tree)
+        if private not in referenced
+    ]
+    assert unused == []
