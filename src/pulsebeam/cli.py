@@ -62,6 +62,7 @@ import os
 import struct
 import sys
 import tempfile
+from dataclasses import asdict
 from typing import Callable, Iterable, Sequence, Tuple
 
 import numpy as np
@@ -72,7 +73,7 @@ from .channel import (
     channel_metrics,
     gain_scan,
 )
-from .errors import AccuracyError, PulsebeamError, ValidationError
+from .errors import AccuracyError, ValidationError
 from .geometry import _BLOCK, ComplexDistance, _distance_block, _tolerance
 from .propagator import _impulse_field, _impulse_field_block, beam_profile
 from .signals import DeltaDerivative, DrivingSignal, GaussianPulse, SampledSignal
@@ -447,15 +448,7 @@ def _run_channel(config: dict, out: str) -> None:
         return value if math.isfinite(value) else "inf"
 
     summary = {
-        "metrics": {
-            "emit_duration": metrics.emit_duration,
-            "receive_duration": metrics.receive_duration,
-            "duration": metrics.duration,
-            "emit_bandwidth": jsonable(metrics.emit_bandwidth),
-            "receive_bandwidth": jsonable(metrics.receive_bandwidth),
-            "bandwidth": jsonable(metrics.bandwidth),
-            "aperture": metrics.aperture,
-        },
+        "metrics": {name: jsonable(value) for name, value in asdict(metrics).items()},
         "amplitude": {
             "re": amplitude.real,
             "im": amplitude.imag,
@@ -521,6 +514,15 @@ def _check_threads(flag_value, config: dict) -> None:
         raise ValidationError(f"thread count must be >= 1, got {threads}")
 
 
+_RUNNERS = {
+    "distance": _run_distance,
+    "propagator": _run_propagator,
+    "wavelet": _run_wavelet,
+    "pattern": _run_pattern,
+    "channel": _run_channel,
+}
+
+
 class _Parser(argparse.ArgumentParser):
     """A usage error is a ValidationError: exit 1 with one line, like a bad config."""
 
@@ -534,13 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Grid sampling and verification for pulsed-beam wave fields.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_out in (
-        ("distance", True),
-        ("propagator", True),
-        ("wavelet", True),
-        ("pattern", True),
-        ("channel", True),
-    ):
+    for name in _RUNNERS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="JSON configuration file")
         cmd.add_argument("--out", help="output CSV path (overrides config 'out')")
@@ -550,15 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify")
     verify.add_argument("--only", help="comma-separated list of check ids to run")
     return parser
-
-
-_RUNNERS = {
-    "distance": _run_distance,
-    "propagator": _run_propagator,
-    "wavelet": _run_wavelet,
-    "pattern": _run_pattern,
-    "channel": _run_channel,
-}
 
 
 def main(argv=None) -> int:
@@ -580,9 +567,6 @@ def main(argv=None) -> int:
         # a float overflow or underflow to zero: the result is not representable
         print(f"accuracy error: {exc}", file=sys.stderr)
         return 2
-    except PulsebeamError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

@@ -151,6 +151,11 @@ def _distance(a: float, r: float, x3: float, near_circle_tol: float) -> ComplexD
     return ComplexDistance(p, q, on_cut=on_cut, near_circle=near_circle)
 
 
+def _norm_rows(v: np.ndarray) -> np.ndarray:
+    """`norm3` of every row of an (n, 3) array; numpy's nested hypot differs in the last bit."""
+    return np.fromiter(map(math.hypot, *v.T.tolist()), float, len(v))
+
+
 def _dot_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """dot3 of every row pair of two (n, 3) arrays, summed in dot3's order."""
     return u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1] + u[:, 2] * v[:, 2]
@@ -179,10 +184,10 @@ def _distance_block(x: np.ndarray, y: np.ndarray, near_circle_tol: float | None 
             k = int(np.argmax(bad))
             raise ValidationError(f"{what} components must be finite, got row {k}: {block[k]}")
     n = len(x)
-    a = np.fromiter(map(math.hypot, *y.T.tolist()), float, n)
+    a = _norm_rows(y)
     if not a.all():
         raise DegenerateExtensionError(_ZERO_EXTENSION)
-    r = np.fromiter(map(math.hypot, *x.T.tolist()), float, n)
+    r = _norm_rows(x)
     x3 = _dot_rows(x, y) / a
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         p, root_imag = _sqrt_block(r * r - a * a, (-2.0 * a) * x3)

@@ -44,7 +44,7 @@ from .geometry import ComplexDistance, complex_distance
 from .spacetime import as_scalar, as_vec3, norm3
 
 _EIGHT_PI_SQ = 8.0 * math.pi * math.pi
-# The scalar field's leading factor 8j * pi * pi, evaluated as CPython does.
+# The fields' leading factor 8j * pi * pi, evaluated as CPython does.
 _EIGHT_I_PI_SQ = 8j * math.pi * math.pi
 
 
@@ -71,7 +71,7 @@ def _impulse_field(dist: ComplexDistance, t: float, s: float) -> complex:
         )
     rt = dist.value
     tau = complex(t, -s)
-    return _reciprocal(8j * math.pi * math.pi * rt * (tau - rt), "propagator")
+    return _reciprocal(_EIGHT_I_PI_SQ * rt * (tau - rt), "propagator")
 
 
 def _product_block(ar, ai, br, bi):
@@ -133,7 +133,7 @@ def far_zone_propagator(r: float, theta: float, t: float, s: float, a: float) ->
         raise ValidationError(f"extension radius must be nonnegative, got {a}")
     _require_interior(s, a)
     denominator = complex(t - r, -(s - a * math.cos(theta)))
-    return _reciprocal(8j * math.pi * math.pi * r * denominator, "far-zone propagator")
+    return _reciprocal(_EIGHT_I_PI_SQ * r * denominator, "far-zone propagator")
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,7 @@ import numpy as np
 
 from .channel import _moved, _summed, gain_scan
 from .errors import ValidationError
-from .geometry import _BLOCK, _distance_block, _dot_rows, _rho_block, complex_distance
+from .geometry import _BLOCK, _distance_block, _dot_rows, _norm_rows, _rho_block, complex_distance
 from .propagator import (
     _EIGHT_PI_SQ,
     beam_profile,
@@ -143,9 +143,17 @@ def _pow10(values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(pow, repeat(10.0), values.tolist()), float, len(values))
 
 
-def _norm_rows(v: np.ndarray) -> np.ndarray:
-    """`norm3` of each row; numpy's nested hypot differs in the last bit."""
-    return np.fromiter(map(math.hypot, *v.T.tolist()), float, len(v))
+def _offset_blocks(rng: np.random.Generator, n: int):
+    """The n offsets of checks 1-2 as (x, yhat, a, r, p, q), a `_BLOCK` of rows at a time.
+
+    Drawn in the order n unit yhat, a = 10^U(-1, 0.5), x in U(-5, 5)^3."""
+    dirs = _unit_vectors(rng, n)
+    radii = 10.0 ** rng.uniform(-1.0, 0.5, size=n)
+    xs = rng.uniform(-5.0, 5.0, size=(n, 3))
+    for lo in range(0, n, _BLOCK):
+        x, yhat, a = xs[lo : lo + _BLOCK], dirs[lo : lo + _BLOCK], radii[lo : lo + _BLOCK]
+        _, r, _, p, q, _, _ = _distance_block(x, a[:, None] * yhat)
+        yield x, yhat, a, r, p, q
 
 
 # ---------------------------------------------------------------------------
@@ -154,18 +162,10 @@ def _norm_rows(v: np.ndarray) -> np.ndarray:
 
 
 def check_distance_identities() -> CheckResult:
-    rng = np.random.default_rng(20260801)
     n = 100_000
-    dirs = _unit_vectors(rng, n)
-    radii = 10.0 ** rng.uniform(-1.0, 0.5, size=n)
-    xs = rng.uniform(-5.0, 5.0, size=(n, 3))
     worst_sq = 0.0
     worst_pq = 0.0
-    for lo in range(0, n, _BLOCK):
-        a = radii[lo : lo + _BLOCK]
-        yhat = dirs[lo : lo + _BLOCK]
-        x = xs[lo : lo + _BLOCK]
-        _, r, _, p, q, _, _ = _distance_block(x, a[:, None] * yhat)
+    for x, yhat, a, r, p, q in _offset_blocks(np.random.default_rng(20260801), n):
         x3 = _dot_rows(x, yhat)
         res_sq = np.abs((p * p - q * q) - (r * r - a * a)) / _pow2(r + a)
         res_pq = np.abs(p * q - a * x3) / np.maximum(a * r, 1e-300)
@@ -187,18 +187,10 @@ def check_distance_identities() -> CheckResult:
 
 def check_distance_bounds() -> CheckResult:
     rng = np.random.default_rng(20260802)
-    n = 100_000
-    dirs = _unit_vectors(rng, n)
-    radii = 10.0 ** rng.uniform(-1.0, 0.5, size=n)
-    xs = rng.uniform(-5.0, 5.0, size=(n, 3))
     worst_p = -math.inf
     worst_q = -math.inf
     oblique_ok = True
-    for lo in range(0, n, _BLOCK):
-        a = radii[lo : lo + _BLOCK]
-        yhat = dirs[lo : lo + _BLOCK]
-        x = xs[lo : lo + _BLOCK]
-        _, r, _, p, q, _, _ = _distance_block(x, a[:, None] * yhat)
+    for x, yhat, a, r, p, q in _offset_blocks(rng, 100_000):
         worst_p = max(worst_p, float(((p - r) / (r + a)).max()))
         worst_q = max(worst_q, float(((np.abs(q) - a) / a).max()))
         off_origin = r > 0.0
@@ -300,7 +292,7 @@ def check_wave_residual_order() -> CheckResult:
 
     points: List[RealEvent] = []
     while len(points) < 20:
-        xhat = _unit_rows(rng.standard_normal((1, 3)))[0].tolist()
+        xhat = _unit3(*rng.standard_normal(3).tolist())
         if abs(xhat[2]) < 0.12:
             continue
         r = _uniform(1.5, 3.5, rng.random())

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pulsebeam import verification
+from pulsebeam import cli, errors, verification
 from pulsebeam.cli import GRID_AXES, main
 
 CHANNEL_OBJ = {
@@ -257,6 +257,35 @@ EXTENT = [0.0, 0.0, 1.0, 2.0]
             "'near_circle_tol'",
             id="near-circle-tol-string",
         ),
+        pytest.param(
+            "distance",
+            {"extent": EXTENT, "grid": {"x1": {"min": 0.0, "max": 1.0, "count": 2, "step": 1}}},
+            "unknown fields ['step']",
+            id="axis-unknown-field",
+        ),
+        pytest.param(
+            "distance",
+            {"extent": EXTENT, "grid": {"x1": {"min": 0.0, "max": 1.0, "count": 0}}},
+            "'grid.x1.count' must be >= 1",
+            id="axis-count-zero",
+        ),
+        pytest.param(
+            "distance",
+            {"extent": EXTENT, "grid": {"x1": {"min": -1.7e308, "max": 1.7e308, "count": 3}}},
+            "'grid.x1' samples",
+            id="axis-samples-overflow",
+        ),
+        pytest.param(
+            "distance", {"extent": EXTENT, "grid": {"t": 1.0}}, "['t']", id="axis-not-available"
+        ),
+        pytest.param(
+            "wavelet",
+            {"extent": EXTENT, "signal": {"type": "sampled"}, "grid": AXIS},
+            "either 'path' or 'times'+'values'",
+            id="sampled-without-samples",
+        ),
+        pytest.param("pattern", [2.0, 1.0, 100.0], "config root", id="root-not-an-object"),
+        pytest.param("channel", {"signal": {"type": "delta"}}, "'channel'", id="no-channel"),
     ],
 )
 def test_malformed_config_values_are_one_line_errors(tmp_path, capsys, command, config, field):
@@ -666,8 +695,9 @@ def test_invalid_config_is_a_validation_error(tmp_path):
         ("pattern", "--out", "o.csv"),
         ("nosuch",),
         ("verify", "--config", "p.json"),
+        ("pattern", "--config", "p.json"),
     ],
-    ids=["threads-not-an-integer", "no-config", "unknown-subcommand", "verify-config"],
+    ids=["threads-not-an-integer", "no-config", "unknown-subcommand", "verify-config", "no-out"],
 )
 def test_usage_errors_are_one_line_validation_errors(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -677,6 +707,39 @@ def test_usage_errors_are_one_line_validation_errors(tmp_path, capsys, monkeypat
     assert code == 1
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert not list(tmp_path.glob("*.csv"))
+
+
+PACKAGE_ERRORS = [
+    value
+    for value in vars(errors).values()
+    if isinstance(value, type) and issubclass(value, errors.PulsebeamError)
+]
+
+
+def test_every_package_error_is_a_validation_or_an_accuracy_error():
+    # so main's two handlers catch every package error
+    assert [
+        error
+        for error in PACKAGE_ERRORS
+        if not issubclass(error, (errors.ValidationError, errors.AccuracyError))
+    ] == [errors.PulsebeamError]
+
+
+@pytest.mark.parametrize(
+    "error",
+    [error for error in PACKAGE_ERRORS if error is not errors.PulsebeamError],
+    ids=lambda error: error.__name__,
+)
+def test_each_package_error_exits_with_one_line(tmp_path, capsys, monkeypatch, error):
+    def runner(config, out):
+        raise error("stand-in failure")
+
+    monkeypatch.setitem(cli._RUNNERS, "pattern", runner)
+    code, _ = run_cli(tmp_path, "pattern", {})
+    err = capsys.readouterr().err
+    assert code == (2 if issubclass(error, errors.AccuracyError) else 1)
+    assert len(err.splitlines()) == 1 and "stand-in failure" in err
+    assert "Traceback" not in err
 
 
 def test_help_still_exits_0(capsys):

@@ -136,6 +136,16 @@ def test_spectral_rejects_real_axis():
         spectral_signal(GaussianPulse(), 1.0, 0.0)
 
 
+@pytest.mark.parametrize("s", [1e-310, -1e-310])
+def test_spectral_refuses_a_cut_off_that_overflows(s):
+    # 45/|s| is not a float: the impulse and sampled cut-offs leave the floats
+    for sig in (DeltaDerivative(0), SampledSignal((0.0, 1.0, 2.0), (0.0, 1.0, 0.0))):
+        with pytest.raises(DomainError, match=re.escape(f"s = {s!r}")):
+            spectral_signal(sig, 0.0, s)
+    # the Gaussian's cut-off is capped by its own spectral decay
+    assert spectral_signal(GaussianPulse(), 0.0, s) == math.copysign(0.49999999999999994, s)
+
+
 # ---------------------------------------------------------------------------
 # Gaussian pulses
 # ---------------------------------------------------------------------------

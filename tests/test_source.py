@@ -32,6 +32,64 @@ def test_no_unused_imports(path):
     assert _unused_imports(tree) == []
 
 
+def _own_scope(function):
+    """Nodes of a function's own scope: its body, not the bodies of nested definitions."""
+    stack = list(function.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _unused_locals(tree: ast.Module):
+    """(line, function.name) of each local a function binds and never reads.
+
+    Names starting with `_` are exempt; a read in a nested function counts.
+    """
+    found = []
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        bound, outer = {}, set()
+        for node in _own_scope(function):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound.setdefault(node.id, node.lineno)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound.setdefault(node.name, node.lineno)
+            elif isinstance(node, ast.ExceptHandler) and node.name:
+                bound.setdefault(node.name, node.lineno)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                outer.update(node.names)
+        read = {
+            node.id
+            for node in ast.walk(function)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+        }
+        found += [
+            (line, f"{function.name}.{name}")
+            for name, line in bound.items()
+            if name not in read and name not in outer and not name.startswith("_")
+        ]
+    return sorted(found)
+
+
+def test_unused_locals_are_found_in_their_own_scope():
+    tree = ast.parse(
+        "def f(x):\n    a, _b = x\n    for i, j in x:\n        print(i)\n"
+        "    def g():\n        return c\n    c = 1\n"
+        "    try:\n        pass\n    except ValueError as exc:\n        pass\n"
+        "    def h():\n        nonlocal a\n        a = 2\n        d = 3\n    return h, a\n"
+    )
+    assert _unused_locals(tree) == [(3, "f.j"), (5, "f.g"), (10, "f.exc"), (15, "h.d")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_unused_locals(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _unused_locals(tree) == []
+
+
 def _import_time_imports(tree: ast.Module):
     """Modules a module imports while it is itself imported: all but function bodies."""
     found = []

@@ -11,6 +11,7 @@ from pulsebeam import (
     DeltaDerivative,
     DomainError,
     GaussianPulse,
+    NonAnalyticPointError,
     RealEvent,
     SampledSignal,
     SingularityProximityError,
@@ -153,6 +154,10 @@ def test_boundary_jump_validation():
         )
     with pytest.raises(CausalityError):
         boundary_jump(signal, RealEvent((0, 0, 2), 1.0), ConeVector.null())
+    # a sampled signal that starts at a nonzero value jumps at its first sample
+    starts_at_one = SampledSignal((0.0, 1.0, 2.0), (1.0, 0.5, 0.0))
+    with pytest.raises(NonAnalyticPointError):
+        boundary_jump(starts_at_one, RealEvent((0, 0, 2), 2.0), ConeVector((0, 0, 0.5), 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +329,28 @@ def test_wave_residual_guard_rejects_cut_crossing():
         wave_residual(signal, RealEvent((0.3, 0, 0.004), 1.0), y, 1e-2)
     with pytest.raises(DomainError):
         wave_residual(signal, RealEvent((0, 0, 3), 1.0), y, 0.0)
+
+
+@pytest.mark.parametrize(
+    "center", [(0.3, 0.0, 0.01), (1.0, 0.0, 0.0)], ids=["point-on-cut", "point-on-circle"]
+)
+def test_wave_residual_guard_rejects_a_point_before_a_crossing(center):
+    # the z arm of the first stencil ends on the cut disk, the second is
+    # centred on the branch circle
+    y = ConeVector((0, 0, 1), 2.0)
+    with pytest.raises(StencilPlacementError, match="touches the branch cut or circle"):
+        wave_residual(DeltaDerivative(0), RealEvent(center, 1.0), y, 1e-2)
+
+
+def test_wave_residual_with_a_temporal_extension():
+    # only the spatial origin is singular when the extension has no space part
+    signal = DeltaDerivative(0)
+    y = ConeVector((0, 0, 0), 2.0)
+    x = RealEvent((0.4, 0.2, 3.0), 2.5)
+    residual = abs(wave_residual(signal, x, y, 1e-2))
+    assert residual / abs(wavelet_eval(signal, x, y)) <= 1e-3
+    with pytest.raises(StencilPlacementError, match="spatial origin"):
+        wave_residual(signal, RealEvent((0.01, 0, 0), 1.0), y, 1e-2)
 
 
 def test_wave_residual_spikes_only_near_the_cut():
