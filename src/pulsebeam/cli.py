@@ -23,16 +23,18 @@ and leaves no file behind (no partial CSV, no temp file).  Guarded
 singular points are emitted with empty value cells and a status flag; a
 value that overflows a float is an accuracy error, never a NaN or inf.
 
-Grids are evaluated and written in blocks of `geometry._BLOCK` (4,096)
-points in row order, so memory stays bounded whatever the grid size, and
-each axis value is formatted once.  Each grid subcommand has one
-evaluation function, which turns a block of points into its cell
-columns.  A block that it refuses (a root or a value that overflows a
-float) goes through the same function again one row at a time, so the
-first bad row aborts the grid, named by its index and point.  `distance`
-and `propagator` evaluate a block with the array kernels
-`geometry._distance_block` and `propagator._impulse_field_block`, which
-are bit-identical to the scalar functions; the propagator's first
+Every subcommand writes through one grid writer; `pattern` and `channel`
+are grids over the one axis theta.  Grids are evaluated and written in
+blocks of `geometry._BLOCK` (4,096) points in row order, and each block
+formats only its own coordinates, so memory stays bounded whatever the
+grid size.  The first block is evaluated before the file is opened.
+Each subcommand has one evaluation function, which turns a block of
+points into its cell columns.  A block that it refuses (a root or a
+value that overflows a float) goes through the same function again one
+row at a time, so the first bad row aborts the grid, named by its index
+and point.  `distance` and `propagator` evaluate a block with the array
+kernels `geometry._distance_block` and `propagator._impulse_field_block`,
+which are bit-identical to the scalar functions; the propagator's first
 refused row is evaluated by the scalar `_impulse_field`, whose error text
 it raises.  `wavelet` evaluates point by point, once per distinct field
 argument: the field depends on a point only through its complex distance
@@ -40,13 +42,12 @@ p - iq and t, so a grid slice through the extension axis repeats each
 argument at its mirror point.  The cells are kept in a dict keyed by the
 bit patterns of (p, q, t), cleared at `_BLOCK` entries; a point near the
 singular set is flagged before the dict is consulted, and errors are
-never kept.  `pattern` and `channel` build the theta axis as one array
-and evaluate it in `_BLOCK`-long slices, streaming their rows.
+never kept.  `pattern` and `channel` evaluate a block with `beam_profile`
+and `gain_scan`.
 
-Evaluation runs in one thread.  `--threads`, the config field `threads`
-and the PULSEBEAM_THREADS environment variable are still accepted and
-validated (an integer >= 1), for compatibility; they do not change the
-output or the evaluation.
+Evaluation runs in one thread.  `--threads` is still accepted for
+compatibility, as an integer >= 1; it does not change the output or the
+evaluation.
 
 Exit codes: 0 success, 1 validation error (a command-line usage error
 included), 2 accuracy error (including a float overflow), 3 I/O error.
@@ -55,7 +56,6 @@ included), 2 accuracy error (including a float overflow), 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -85,7 +85,6 @@ FIELD_COLUMNS = ("re", "im", "abs", "status")
 # Bit pattern of a wavelet field argument (p, q, t).
 _FIELD_KEY = struct.Struct("<ddd")
 DEFAULT_POINT_CAP = 10**8
-THREADS_ENV_VAR = "PULSEBEAM_THREADS"
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +170,22 @@ def grid_from_config(config: dict, names: Sequence[str]) -> Tuple[np.ndarray, ..
     return tuple(build() for _, _, build in axes)
 
 
+_SIGNAL_FIELDS = {
+    "delta": {"type", "order"},
+    "gaussian": {"type", "center", "width", "amplitude"},
+    "sampled": {"type", "path", "times", "values"},
+}
+
+
 def signal_from_config(obj) -> DrivingSignal:
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValidationError("'signal' must be an object with a 'type' field")
     kind = obj["type"]
+    if not isinstance(kind, str) or kind not in _SIGNAL_FIELDS:
+        raise ValidationError(f"unknown signal type {kind!r}; use delta, gaussian, or sampled")
+    extra = set(obj) - _SIGNAL_FIELDS[kind]
+    if extra:
+        raise ValidationError(f"'signal' of type {kind!r} has unknown fields {sorted(extra)}")
     if kind == "delta":
         return DeltaDerivative(_number(obj.get("order", 0), "signal.order", integer=True))
     if kind == "gaussian":
@@ -183,20 +194,18 @@ def signal_from_config(obj) -> DrivingSignal:
             width=_number(obj.get("width", 1.0), "signal.width"),
             amplitude=_number(obj.get("amplitude", 1.0), "signal.amplitude"),
         )
-    if kind == "sampled":
-        if "path" in obj:
-            if not isinstance(obj["path"], str):
-                raise ValidationError(f"'signal.path' must be a string, got {obj['path']!r}")
-            return SampledSignal.from_csv(obj["path"])
-        if "times" in obj and "values" in obj:
-            if not (isinstance(obj["times"], list) and isinstance(obj["values"], list)):
-                raise ValidationError("sampled signal 'times' and 'values' must be arrays")
-            return SampledSignal(
-                tuple(_number(v, f"signal.times[{i}]") for i, v in enumerate(obj["times"])),
-                tuple(_number(v, f"signal.values[{i}]") for i, v in enumerate(obj["values"])),
-            )
-        raise ValidationError("sampled signal needs either 'path' or 'times'+'values'")
-    raise ValidationError(f"unknown signal type {kind!r}; use delta, gaussian, or sampled")
+    if "path" in obj:
+        if not isinstance(obj["path"], str):
+            raise ValidationError(f"'signal.path' must be a string, got {obj['path']!r}")
+        return SampledSignal.from_csv(obj["path"])
+    if "times" in obj and "values" in obj:
+        if not (isinstance(obj["times"], list) and isinstance(obj["values"], list)):
+            raise ValidationError("sampled signal 'times' and 'values' must be arrays")
+        return SampledSignal(
+            tuple(_number(v, f"signal.times[{i}]") for i, v in enumerate(obj["times"])),
+            tuple(_number(v, f"signal.values[{i}]") for i, v in enumerate(obj["values"])),
+        )
+    raise ValidationError("sampled signal needs either 'path' or 'times'+'values'")
 
 
 def extent_from_config(config: dict) -> ConeVector:
@@ -255,47 +264,55 @@ def _near_circle_tol(config: dict):
 
 
 def _write_grid(
-    config: dict, out: str, names: Tuple[str, ...], columns: Tuple[str, ...], evaluate: Callable
+    out: str, names: Tuple[str, ...], axes: Sequence, columns: Tuple[str, ...], evaluate: Callable
 ) -> None:
-    """Stream one row per grid point, row-major over `names`: its coordinates, then its cells.
+    """Stream one row per grid point, row-major over `axes`: its coordinates, then its cells.
 
-    The points go in blocks of `_BLOCK` rows.  evaluate(points) gets a
-    block as an (n, len(names)) array and returns its cell columns.  When
-    it raises an accuracy or float-overflow error, the rows of the block
-    go through evaluate again one at a time, and the first row that
-    raises aborts the grid with an AccuracyError naming its index and
-    point.
+    The points go in blocks of `_BLOCK` rows, and the first block is
+    evaluated before the file is opened.  evaluate(points) gets a block as
+    an (n, len(names)) array and returns its cell columns.  When it raises
+    an accuracy or float-overflow error, the rows of the block go through
+    evaluate again one at a time, and the first row that raises aborts the
+    grid with an AccuracyError naming its index and point.
     """
-    axes = grid_from_config(config, names)
     shape = tuple(map(len, axes))
-    texts = [np.array([format_float(value) for value in axis], dtype=object) for axis in axes]
+    total = math.prod(shape)
+    strides = [math.prod(shape[k + 1 :]) for k in range(len(shape))]
 
-    def refuse(start, points):
-        for k, point in enumerate(points.tolist()):
-            try:
-                evaluate(points[k : k + 1])
-            except (AccuracyError, ArithmeticError) as exc:
-                where = ", ".join(f"{name}={value!r}" for name, value in zip(names, point))
-                raise AccuracyError(
-                    f"grid row {start + k} ({where}): {exc}",
-                    value=getattr(exc, "value", None),
-                    estimate=getattr(exc, "estimate", None),
-                ) from exc
+    def block(start):
+        rows = np.arange(start, min(start + _BLOCK, total))
+        points, coordinates = [], []
+        for axis, stride in zip(axes, strides):
+            # the block's steps along this axis, counted across its wraps: it
+            # formats each of its distinct coordinates once, at most _BLOCK + 1
+            steps = rows // stride
+            lo = int(steps[0])
+            count = min(int(steps[-1]) - lo + 1, len(axis))
+            texts = np.array(_cells(axis[np.arange(lo, lo + count) % len(axis)]), dtype=object)
+            points.append(axis[steps % len(axis)])
+            coordinates.append(texts[(steps - lo) % count].tolist())
+        points = np.column_stack(points)
+        try:
+            return zip(*coordinates, *evaluate(points))
+        except (AccuracyError, ArithmeticError):
+            for k, point in enumerate(points.tolist()):
+                try:
+                    evaluate(points[k : k + 1])
+                except (AccuracyError, ArithmeticError) as exc:
+                    where = ", ".join(f"{name}={value!r}" for name, value in zip(names, point))
+                    raise AccuracyError(
+                        f"grid row {start + k} ({where}): {exc}",
+                        value=getattr(exc, "value", None),
+                        estimate=getattr(exc, "estimate", None),
+                    ) from exc
+            raise
 
-    def rows():
-        total = math.prod(shape)
-        for start in range(0, total, _BLOCK):
-            indices = np.unravel_index(np.arange(start, min(start + _BLOCK, total)), shape)
-            points = np.column_stack([axis[i] for axis, i in zip(axes, indices)])
-            try:
-                cells = evaluate(points)
-            except (AccuracyError, ArithmeticError):
-                refuse(start, points)
-                raise
-            coordinates = (text[i].tolist() for text, i in zip(texts, indices))
-            yield from zip(*coordinates, *cells)
+    def stream(first):
+        yield from first
+        for start in range(_BLOCK, total, _BLOCK):
+            yield from block(start)
 
-    write_csv(out, names + columns, rows())
+    write_csv(out, names + columns, stream(block(0)))
 
 
 def _cells(values: np.ndarray, blank: np.ndarray | None = None) -> list:
@@ -319,7 +336,8 @@ def _run_distance(config: dict, out: str) -> None:
         status = np.where(near_circle, "on_circle", np.where(on_cut, "on_cut", "ok"))
         return _cells(p), _cells(q), status.tolist()
 
-    _write_grid(config, out, ("x1", "x2", "x3"), ("p", "q", "status"), evaluate)
+    names = ("x1", "x2", "x3")
+    _write_grid(out, names, grid_from_config(config, names), ("p", "q", "status"), evaluate)
 
 
 def _run_propagator(config: dict, out: str) -> None:
@@ -344,7 +362,7 @@ def _run_propagator(config: dict, out: str) -> None:
         status = np.where(singular, "singular", np.where(on_cut, "on_cut", "ok"))
         return (*(_cells(col, singular) for col in (re, im, magnitude)), status.tolist())
 
-    _write_grid(config, out, GRID_AXES, FIELD_COLUMNS, evaluate)
+    _write_grid(out, GRID_AXES, grid_from_config(config, GRID_AXES), FIELD_COLUMNS, evaluate)
 
 
 def _run_wavelet(config: dict, out: str) -> None:
@@ -378,32 +396,17 @@ def _run_wavelet(config: dict, out: str) -> None:
             rows.append((*cells, "on_cut" if dist.on_cut else "ok"))
         return zip(*rows)
 
-    _write_grid(config, out, GRID_AXES, FIELD_COLUMNS, evaluate)
+    _write_grid(out, GRID_AXES, grid_from_config(config, GRID_AXES), FIELD_COLUMNS, evaluate)
 
 
 def _theta_values(config: dict, default_min: float, default_max: float, default_count: int):
     theta_cfg = config.get("theta", {})
     if not isinstance(theta_cfg, dict):
         raise ValidationError("'theta' must be an object with min/max/count")
-    spec = {
-        "min": theta_cfg.get("min", default_min),
-        "max": theta_cfg.get("max", default_max),
-        "count": theta_cfg.get("count", default_count),
-    }
+    spec = {"min": default_min, "max": default_max, "count": default_count, **theta_cfg}
     count, build = _axis("theta", spec)
     _check_cap(config, count, "theta")
     return build()
-
-
-def _theta_slices(thetas: np.ndarray, evaluate: Callable) -> Iterable:
-    """evaluate on each `_BLOCK`-long slice of thetas, in order.
-
-    The first slice is evaluated at once, so its errors (a bad s, a or r)
-    come before any file is opened.
-    """
-    first = evaluate(thetas[:_BLOCK])
-    rest = (evaluate(thetas[lo : lo + _BLOCK]) for lo in range(_BLOCK, len(thetas), _BLOCK))
-    return itertools.chain((first,), rest)
 
 
 def _run_pattern(config: dict, out: str) -> None:
@@ -412,13 +415,13 @@ def _run_pattern(config: dict, out: str) -> None:
             raise ValidationError(f"pattern config is missing '{key}'")
     s, a, r = (_number(config[key], key) for key in ("s", "a", "r"))
     thetas = _theta_values(config, 0.0, math.pi, 181)
-    profiles = _theta_slices(thetas, lambda part: beam_profile(s, a, r, part))
-    rows = (
-        (format_float(th), format_float(d), format_float(f), format_float(pk))
-        for profile in profiles
-        for th, d, f, pk in zip(profile.theta, profile.duration, profile.pattern, profile.peak)
-    )
-    write_csv(out, ("theta", "duration", "pattern", "peak"), rows)
+
+    def evaluate(points):
+        profile = beam_profile(s, a, r, points[:, 0])
+        columns = (profile.duration, profile.pattern, profile.peak)
+        return [list(map(format_float, column)) for column in columns]
+
+    _write_grid(out, ("theta",), (thetas,), ("duration", "pattern", "peak"), evaluate)
 
 
 def _run_channel(config: dict, out: str) -> None:
@@ -433,14 +436,14 @@ def _run_channel(config: dict, out: str) -> None:
     amplitude = channel_amplitude(ch, signal)
     thetas = _theta_values(config, -math.pi, math.pi, 721)
     emitter, receiver = ch.emitter_extent, ch.receiver_extent
-    scans = _theta_slices(
-        thetas,
-        lambda part: gain_scan(
-            emitter.radius, emitter.time, receiver.radius, receiver.time, separation, part
-        ),
-    )
-    rows = ((format_float(th), format_float(peak)) for scan in scans for th, peak in scan)
-    write_csv(out, ("theta", "peak"), rows)
+
+    def evaluate(points):
+        scan = gain_scan(
+            emitter.radius, emitter.time, receiver.radius, receiver.time, separation, points[:, 0]
+        )
+        return ([format_float(peak) for _, peak in scan],)
+
+    _write_grid(out, ("theta",), (thetas,), ("peak",), evaluate)
 
     def jsonable(value):
         # infinite bandwidth (an idealized point endpoint, or a duration
@@ -495,25 +498,6 @@ def _load_config(path: str) -> dict:
     return config
 
 
-def _check_threads(flag_value, config: dict) -> None:
-    """Validate the thread count (flag > config > environment > 1).
-
-    Rows are evaluated serially, so the count changes nothing; it is
-    still checked because the flag, the field and the variable are part
-    of the command-line contract.
-    """
-    if flag_value is not None:
-        threads = flag_value
-    elif "threads" in config:
-        threads = config["threads"]
-    elif os.environ.get(THREADS_ENV_VAR):
-        threads = os.environ[THREADS_ENV_VAR]
-    else:
-        threads = 1
-    if _number(threads, "threads", integer=True) < 1:
-        raise ValidationError(f"thread count must be >= 1, got {threads}")
-
-
 _RUNNERS = {
     "distance": _run_distance,
     "propagator": _run_propagator,
@@ -554,11 +538,14 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _run_verify(None if args.only is None else args.only.split(","))
         config = _load_config(args.config)
+        if args.threads is not None and args.threads < 1:
+            raise ValidationError(f"thread count must be >= 1, got {args.threads}")
         out = args.out or config.get("out")
         if not out:
             raise ValidationError("no output path: pass --out or set 'out' in the config")
-        _check_threads(args.threads, config)
-        _RUNNERS[args.command](config, str(out))
+        if not isinstance(out, str):
+            raise ValidationError(f"'out' must be a string, got {out!r}")
+        _RUNNERS[args.command](config, out)
         return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

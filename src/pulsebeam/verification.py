@@ -1,9 +1,11 @@
 """Acceptance checks: every identity, bound, and invariance the library promises.
 
-Each check is deterministic (fixed seeds), runs at desk scale, and records
-the worst observed residual in its detail string.  `run_checks` executes
-them all (or a subset) and is shared by the CLI `verify` subcommand and
-the acceptance test module.
+Each check is deterministic (fixed seeds), runs at desk scale, and returns
+(passed, detail), recording the worst observed residual in its detail
+string.  Its id and name are written once, in `ACCEPTANCE_CHECKS`.
+`run_checks` executes them all (or a subset), pairs each verdict with its
+id and name in a `CheckResult`, and is shared by the CLI `verify`
+subcommand and the acceptance test module.
 
 Checks 1-3 evaluate their points through the block kernel
 `geometry._distance_block` (and `_rho_block` for check 3), in slices of
@@ -161,7 +163,7 @@ def _offset_blocks(rng: np.random.Generator, n: int):
 # ---------------------------------------------------------------------------
 
 
-def check_distance_identities() -> CheckResult:
+def check_distance_identities() -> Tuple[bool, str]:
     n = 100_000
     worst_sq = 0.0
     worst_pq = 0.0
@@ -172,11 +174,8 @@ def check_distance_identities() -> CheckResult:
         worst_sq = max(worst_sq, float(res_sq.max()))
         worst_pq = max(worst_pq, float(res_pq.max()))
     passed = worst_sq <= 1e-12 and worst_pq <= 1e-12
-    return CheckResult(
-        "1",
-        "complex-distance-identities",
-        passed,
-        f"max rel residual: squares {worst_sq:.2e}, product {worst_pq:.2e} over {n} samples",
+    return passed, (
+        f"max rel residual: squares {worst_sq:.2e}, product {worst_pq:.2e} over {n} samples"
     )
 
 
@@ -185,7 +184,7 @@ def check_distance_identities() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_distance_bounds() -> CheckResult:
+def check_distance_bounds() -> Tuple[bool, str]:
     rng = np.random.default_rng(20260802)
     worst_p = -math.inf
     worst_q = -math.inf
@@ -218,13 +217,10 @@ def check_distance_bounds() -> CheckResult:
     passed = (
         worst_p <= 1e-13 and worst_q <= 1e-13 and oblique_ok and worst_axis <= 1e-12
     )
-    return CheckResult(
-        "2",
-        "complex-distance-bounds",
-        passed,
+    return passed, (
         f"bound slack min 0 (worst normalized excess p {worst_p:.1e}, q {worst_q:.1e}); "
         f"on-axis equality residual {worst_axis:.2e}; oblique strictness "
-        f"{'ok' if oblique_ok else 'violated'}",
+        f"{'ok' if oblique_ok else 'violated'}"
     )
 
 
@@ -233,7 +229,7 @@ def check_distance_bounds() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_spheroidal_residuals() -> CheckResult:
+def check_spheroidal_residuals() -> Tuple[bool, str]:
     rng = np.random.default_rng(20260803)
     wanted = 10_000
     accepted = 0
@@ -269,12 +265,7 @@ def check_spheroidal_residuals() -> CheckResult:
         worst = max(worst, float(res1.max(initial=0.0)), float(res2.max(initial=0.0)))
         accepted += len(keep)
     passed = worst <= 1e-10
-    return CheckResult(
-        "3",
-        "spheroidal-residuals",
-        passed,
-        f"max surface-identity residual {worst:.2e} over {accepted} regular points",
-    )
+    return passed, f"max surface-identity residual {worst:.2e} over {accepted} regular points"
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +273,7 @@ def check_spheroidal_residuals() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_wave_residual_order() -> CheckResult:
+def check_wave_residual_order() -> Tuple[bool, str]:
     rng = np.random.default_rng(20260804)
     extent = ConeVector((0.0, 0.0, 0.6), 1.1)
     delta = DeltaDerivative(0)
@@ -314,12 +305,9 @@ def check_wave_residual_order() -> CheckResult:
             min_order = min(min_order, slope)
             max_ratio = max(max_ratio, residuals[0] / scale)
     passed = min_order >= 1.8 and max_ratio <= 1e-3
-    return CheckResult(
-        "4",
-        "wave-residual-order",
-        passed,
+    return passed, (
         f"min convergence order {min_order:.3f} (need >= 1.8), "
-        f"max |residual|/|W| at h=1e-2: {max_ratio:.2e}",
+        f"max |residual|/|W| at h=1e-2: {max_ratio:.2e}"
     )
 
 
@@ -328,7 +316,7 @@ def check_wave_residual_order() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_hyperfunction_jump() -> CheckResult:
+def check_hyperfunction_jump() -> Tuple[bool, str]:
     extent = ConeVector((0.0, 0.0, 0.5), 1.0)
     signal = GaussianPulse(0.0, 1.0, 1.0)
     directions = (
@@ -356,12 +344,9 @@ def check_hyperfunction_jump() -> CheckResult:
                 pinned = math.exp(-0.125) / (8.0 * math.pi)
                 pinned_rel = abs(jump.real - pinned) / pinned
     passed = worst_rel <= 1e-6 and worst_imag <= 1e-8 and pinned_rel <= 1e-6
-    return CheckResult(
-        "5",
-        "hyperfunction-jump",
-        passed,
+    return passed, (
         f"max rel error {worst_rel:.2e} on 5x5 grid, max |imag| {worst_imag:.2e}, "
-        f"pinned exp(-1/8)/(8 pi) case rel {pinned_rel:.2e}",
+        f"pinned exp(-1/8)/(8 pi) case rel {pinned_rel:.2e}"
     )
 
 
@@ -448,7 +433,7 @@ def _translation_trials(rng: np.random.Generator, signal, count: int):
         yield (e, r, c_e, c_r), xi, eta, amplitudes
 
 
-def check_translation_invariance() -> CheckResult:
+def check_translation_invariance() -> Tuple[bool, str]:
     rng = np.random.default_rng(20260806)
     signal = DeltaDerivative(0)
     worst = 0.0
@@ -460,7 +445,7 @@ def check_translation_invariance() -> CheckResult:
             worst_trio = max(worst_trio, abs(variant - reference) / abs(reference))
     passed = worst <= 1e-14 and worst_trio <= 1e-14
     detail = f"max rel amplitude change {worst:.2e} over 1000 moves; endpoint trio {worst_trio:.2e}"
-    return CheckResult("6", "translation-invariance", passed, detail)
+    return passed, detail
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +477,7 @@ def _link_durations(e_space, e_lag, r_space, r_lag):
     )
 
 
-def check_duration_triangle() -> CheckResult:
+def check_duration_triangle() -> Tuple[bool, str]:
     rng = np.random.default_rng(20260807)
     n = 10_000
     worst_slack = math.inf
@@ -516,12 +501,9 @@ def check_duration_triangle() -> CheckResult:
     emit, receive, link, total_lag = _link_durations(*_parallel_links(rng, 1000))
     worst_eq = float((np.abs(link - (emit + receive)) / total_lag).max())
     passed = worst_slack >= -1e-12 and chain_ok and worst_eq <= 1e-12
-    return CheckResult(
-        "7",
-        "duration-triangle",
-        passed,
+    return passed, (
         f"min normalized slack {worst_slack:.2e} over 10000 links; bandwidth chain "
-        f"{'ok' if chain_ok else 'violated'}; parallel equality residual {worst_eq:.2e}",
+        f"{'ok' if chain_ok else 'violated'}; parallel equality residual {worst_eq:.2e}"
     )
 
 
@@ -530,7 +512,7 @@ def check_duration_triangle() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_line_of_sight_gain() -> CheckResult:
+def check_line_of_sight_gain() -> Tuple[bool, str]:
     half = np.linspace(0.0, math.pi, 361)
     thetas = np.concatenate([-half[:0:-1], half])  # 721 points, exact 0 at center
     separation = 100.0
@@ -563,12 +545,9 @@ def check_line_of_sight_gain() -> CheckResult:
         and formula_rel <= 1e-14
         and field_rel <= 0.02
     )
-    return CheckResult(
-        "8",
-        "line-of-sight-gain",
-        passed,
+    return passed, (
         f"argmax at theta={scan[argmax][0]:g} (unique: {unique}), strictly monotone "
-        f"each side: {monotone}, symmetry {symmetric:.1e}, field consistency {field_rel:.2%}",
+        f"each side: {monotone}, symmetry {symmetric:.1e}, field consistency {field_rel:.2%}"
     )
 
 
@@ -577,7 +556,7 @@ def check_line_of_sight_gain() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_pattern_shape() -> CheckResult:
+def check_pattern_shape() -> Tuple[bool, str]:
     thetas = [float(v) for v in np.linspace(0.0, math.pi, 1801)]
     profile = beam_profile(2.0, 1.0, 100.0, thetas)
     decreasing = all(
@@ -589,12 +568,7 @@ def check_pattern_shape() -> CheckResult:
         for f, d in zip(profile.pattern, profile.duration)
     )
     passed = decreasing and worst <= 1e-12
-    return CheckResult(
-        "9",
-        "pattern-shape",
-        passed,
-        f"strictly decreasing: {decreasing}; pattern*duration deviation {worst:.2e}",
-    )
+    return passed, f"strictly decreasing: {decreasing}; pattern*duration deviation {worst:.2e}"
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +576,7 @@ def check_pattern_shape() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_far_zone_convergence() -> CheckResult:
+def check_far_zone_convergence() -> Tuple[bool, str]:
     a, s = 1.0, 2.0
     angles = (0.0, math.pi / 6, math.pi / 3, math.pi / 2, 2 * math.pi / 3, math.pi)
     worst_near = 0.0
@@ -619,12 +593,9 @@ def check_far_zone_convergence() -> CheckResult:
         ratio_lo = min(ratio_lo, ratio)
         ratio_hi = max(ratio_hi, ratio)
     passed = worst_near <= 0.02 and 0.4 <= ratio_lo and ratio_hi <= 0.6
-    return CheckResult(
-        "10",
-        "far-zone-convergence",
-        passed,
+    return passed, (
         f"max rel error at r=100a: {worst_near:.2%}; doubling-r error ratio in "
-        f"[{ratio_lo:.3f}, {ratio_hi:.3f}] (need within [0.4, 0.6])",
+        f"[{ratio_lo:.3f}, {ratio_hi:.3f}] (need within [0.4, 0.6])"
     )
 
 
@@ -633,7 +604,7 @@ def check_far_zone_convergence() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_dual_path_signal() -> CheckResult:
+def check_dual_path_signal() -> Tuple[bool, str]:
     signal = GaussianPulse(0.0, 1.0, 1.0)
     worst = 0.0
     for t in (-2.0, -0.8, 0.0, 0.6, 1.4, 3.0):
@@ -642,12 +613,7 @@ def check_dual_path_signal() -> CheckResult:
             spectral = spectral_signal(signal, t, s)
             worst = max(worst, abs(direct - spectral) / max(abs(direct), 1e-300))
     passed = worst <= 1e-6
-    return CheckResult(
-        "11",
-        "dual-path-signal",
-        passed,
-        f"max rel disagreement {worst:.2e} on the (t, s) grid",
-    )
+    return passed, f"max rel disagreement {worst:.2e} on the (t, s) grid"
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +621,7 @@ def check_dual_path_signal() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_cli_determinism() -> CheckResult:
+def check_cli_determinism() -> Tuple[bool, str]:
     channel_obj = {
         "emitter": {"center": [0.0, 0.0, 0.0, 0.0], "extent": [0.0, 0.0, 0.8, 1.6]},
         "receiver": {"center": [0.0, 0.0, 10.0, 10.0], "extent": [0.3, 0.0, 0.9, 1.7]},
@@ -732,13 +698,13 @@ def check_cli_determinism() -> CheckResult:
                     f"{command}: {len(outputs[0])} bytes, "
                     f"{'identical' if identical else 'DIFFER'} across 2 runs + threads 1/4"
                 )
-    return CheckResult("12", "cli-determinism", passed, "; ".join(detail))
+    return passed, "; ".join(detail)
 
 
 # ---------------------------------------------------------------------------
 
 
-ACCEPTANCE_CHECKS: Tuple[Tuple[str, str, Callable[[], CheckResult]], ...] = (
+ACCEPTANCE_CHECKS: Tuple[Tuple[str, str, Callable[[], Tuple[bool, str]]], ...] = (
     ("1", "complex-distance-identities", check_distance_identities),
     ("2", "complex-distance-bounds", check_distance_bounds),
     ("3", "spheroidal-residuals", check_spheroidal_residuals),
@@ -763,7 +729,7 @@ def run_checks(only: Optional[Sequence[str]] = None) -> List[CheckResult]:
     for ident, name, func in ACCEPTANCE_CHECKS:
         if wanted is not None and ident not in wanted and name not in wanted:
             continue
-        results.append(func())
+        results.append(CheckResult(ident, name, *func()))
     if not results:
         raise ValidationError(f"no acceptance checks match {only!r}")
     return results

@@ -49,12 +49,11 @@ PINNED_DETAILS = {
     "ident,name,func", ACCEPTANCE_CHECKS, ids=[f"{i}-{n}" for i, n, _ in ACCEPTANCE_CHECKS]
 )
 def test_acceptance_criterion(ident, name, func):
-    result = func()
-    flag = "PASS" if result.passed else "FAIL"
-    print(f"[{result.ident:>2}] {result.name}: {flag} ({result.detail})")
-    assert result.passed, f"criterion {ident} ({name}) failed: {result.detail}"
+    passed, detail = func()
+    print(f"[{ident:>2}] {name}: {'PASS' if passed else 'FAIL'} ({detail})")
+    assert passed, f"criterion {ident} ({name}) failed: {detail}"
     if ident in PINNED_DETAILS:
-        assert result.detail == PINNED_DETAILS[ident], "the check's draws or counts changed"
+        assert detail == PINNED_DETAILS[ident], "the check's draws or counts changed"
 
 
 def _bits(values):
@@ -194,8 +193,8 @@ def _refuse_link_objects(monkeypatch):
 
 def test_check_7_builds_no_link_objects(monkeypatch):
     _refuse_link_objects(monkeypatch)
-    result = verification.check_duration_triangle()
-    assert result.passed and result.detail == PINNED_DETAILS["7"]
+    passed, detail = verification.check_duration_triangle()
+    assert passed and detail == PINNED_DETAILS["7"]
 
 
 def _random_channel(rng, redraws):
@@ -333,8 +332,8 @@ def test_check_6_flat_route_refuses_what_the_objects_refuse():
 
 def test_check_6_builds_no_link_objects(monkeypatch):
     _refuse_link_objects(monkeypatch)
-    result = verification.check_translation_invariance()
-    assert result.passed and result.detail == PINNED_DETAILS["6"]
+    passed, detail = verification.check_translation_invariance()
+    assert passed and detail == PINNED_DETAILS["6"]
 
 
 def test_check_3_draws_no_candidate_past_its_last_point(monkeypatch):
@@ -348,6 +347,6 @@ def test_check_3_draws_no_candidate_past_its_last_point(monkeypatch):
         return distance_block(x, y, *args)
 
     monkeypatch.setattr(verification, "_distance_block", counting)
-    result = verification.check_spheroidal_residuals()
-    assert result.passed and result.detail == PINNED_DETAILS["3"]
+    passed, detail = verification.check_spheroidal_residuals()
+    assert passed and detail == PINNED_DETAILS["3"]
     assert sum(rows) < 20_480

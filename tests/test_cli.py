@@ -284,6 +284,19 @@ EXTENT = [0.0, 0.0, 1.0, 2.0]
             "either 'path' or 'times'+'values'",
             id="sampled-without-samples",
         ),
+        pytest.param(
+            "pattern",
+            {"s": 2.0, "a": 1.0, "r": 100.0, "theta": {"cuont": 3}},
+            "unknown fields ['cuont']",
+            id="theta-unknown-field",
+        ),
+        pytest.param(
+            # a misspelt width would otherwise run with the default width 1
+            "wavelet",
+            {"extent": EXTENT, "signal": {"type": "gaussian", "widht": 0.1}, "grid": AXIS},
+            "unknown fields ['widht']",
+            id="signal-unknown-field",
+        ),
         pytest.param("pattern", [2.0, 1.0, 100.0], "config root", id="root-not-an-object"),
         pytest.param("channel", {"signal": {"type": "delta"}}, "'channel'", id="no-channel"),
     ],
@@ -595,15 +608,55 @@ def test_wavelet_abort_past_a_memo_clear_names_its_row(tmp_path, capsys):
 
 
 def test_pattern_error_mid_stream_leaves_no_file(tmp_path, capsys):
-    # s - a cos(theta) overflows only at theta = pi, the last row: earlier rows were streamed
+    # s - a cos(theta) overflows from theta = 3 pi / 4 (row 3) on; rows 0-2 are finite
     theta = {"min": 0.0, "max": math.pi, "count": 5}
     config = {"s": 1.7e308, "a": 1.6e308, "r": 1.0, "theta": theta}
     code, out = run_cli(tmp_path, "pattern", config)
     err = capsys.readouterr().err
     assert code == 2
-    assert err == "accuracy error: value inf does not fit a float\n"
+    where = "grid row 3 (theta=2.356194490192345)"
+    assert err == f"accuracy error: {where}: value inf does not fit a float\n"
     assert not out.exists()
     assert not list(tmp_path.glob(".pulsebeam-*.csv"))
+
+
+def test_pattern_error_in_a_later_block_leaves_no_file(tmp_path, capsys):
+    # the first 4,096-angle block is finite and streamed; s - a cos(theta) overflows at row 4454
+    theta = {"min": 0.0, "max": math.pi, "count": 5000}
+    config = {"s": 0.95e308, "a": 0.9e308, "r": 1.0, "theta": theta}
+    code, out = run_cli(tmp_path, "pattern", config)
+    err = capsys.readouterr().err
+    assert code == 2
+    where = "grid row 4454 (theta=2.7990905539285733)"
+    assert err.startswith(f"accuracy error: {where}: ") and len(err.splitlines()) == 1
+    assert not out.exists()
+    assert not list(tmp_path.glob(".pulsebeam-*.csv"))
+
+
+def test_first_block_is_evaluated_before_the_file_is_opened(tmp_path, capsys):
+    # the output directory does not exist, so opening the file would be an i/o error (exit 3)
+    config = {"extent": [0.0, 0.0, 1e-160, 3e-160], "grid": {}}
+    code, out = run_cli(tmp_path, "propagator", config, "missing/out.csv")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("accuracy error: grid row 0 ") and len(err.splitlines()) == 1
+    assert not out.parent.exists()
+
+
+def test_block_coordinates_follow_the_grid_across_axis_wraps(tmp_path):
+    # x3 (5,000 values) wraps inside the second 4,096-row block; x2 (7 values)
+    # wraps many times inside every block
+    grid = {
+        "x1": {"min": -1.0, "max": 1.0, "count": 2},
+        "x2": {"min": -0.3, "max": 0.3, "count": 7},
+        "x3": {"min": -3.0, "max": 3.0, "count": 5000},
+    }
+    code, out = run_cli(tmp_path, "distance", {"extent": [0.0, 0.0, 1.0, 2.0], "grid": grid})
+    assert code == 0
+    axes = [np.linspace(spec["min"], spec["max"], spec["count"]).tolist() for spec in grid.values()]
+    expected = [",".join(map(repr, point)) for point in itertools.product(*axes)]
+    lines = out.read_text().splitlines()[1:]
+    assert [line.rsplit(",", 3)[0] for line in lines] == expected
 
 
 # 10,000 thetas: three 4,096-angle slices, the last one short
@@ -692,12 +745,20 @@ def test_invalid_config_is_a_validation_error(tmp_path):
     "argv",
     [
         ("pattern", "--config", "p.json", "--threads", "abc"),
+        ("pattern", "--config", "p.json", "--out", "o.csv", "--threads", "0"),
         ("pattern", "--out", "o.csv"),
         ("nosuch",),
         ("verify", "--config", "p.json"),
         ("pattern", "--config", "p.json"),
     ],
-    ids=["threads-not-an-integer", "no-config", "unknown-subcommand", "verify-config", "no-out"],
+    ids=[
+        "threads-not-an-integer",
+        "threads-below-one",
+        "no-config",
+        "unknown-subcommand",
+        "verify-config",
+        "no-out",
+    ],
 )
 def test_usage_errors_are_one_line_validation_errors(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -800,14 +861,15 @@ def test_out_in_config_and_flag_precedence(tmp_path):
     assert flag_out.exists()
 
 
-def test_threads_env_var_used_when_flag_absent(tmp_path, monkeypatch):
-    config = {"s": 2.0, "a": 1.0, "r": 10.0, "theta": {"count": 33}}
-    monkeypatch.setenv("PULSEBEAM_THREADS", "3")
-    code, out = run_cli(tmp_path, "pattern", config, "env.csv")
-    assert code == 0
-    monkeypatch.delenv("PULSEBEAM_THREADS")
-    _, ref = run_cli(tmp_path, "pattern", config, "ref.csv")
-    assert out.read_bytes() == ref.read_bytes()
+@pytest.mark.parametrize("out", [True, ["x"], 3], ids=["bool", "list", "number"])
+def test_out_in_config_must_be_a_string(tmp_path, capsys, monkeypatch, out):
+    # str(out) would write a file named 'True' or "['x']"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.json").write_text(json.dumps({"s": 2.0, "a": 1.0, "r": 10.0, "out": out}))
+    assert main(["pattern", "--config", "p.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: 'out' must be a string") and len(err.splitlines()) == 1
+    assert [path.name for path in tmp_path.iterdir()] == ["p.json"]
 
 
 def test_verify_subset(tmp_path, capsys):
@@ -919,7 +981,7 @@ SIGNAL_SPEC = st.one_of(
     ),
     st.fixed_dictionaries({"type": st.just("sampled"), "path": st.just("no-such-signal.csv")}),
 )
-COMMON = {"max_points": st.integers(16, 64), "threads": st.integers(1, 4)}
+COMMON = {"max_points": st.integers(16, 64)}
 FIELD = {**COMMON, "near_circle_tol": NUMBER}
 ENDPOINT = st.fixed_dictionaries({"center": VEC4, "extent": EXTENT4})
 

@@ -190,3 +190,22 @@ def test_every_private_definition_has_a_caller():
         if private not in referenced
     ]
     assert unused == []
+
+
+def _environment_reads(tree: ast.Module):
+    """Lines that read `os.environ` or call `os.getenv`."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("environ", "getenv")
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "os"
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_environment_reads(path):
+    # settings come from the config file and the flags, not from hidden variables
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _environment_reads(tree) == []
