@@ -40,7 +40,7 @@ from typing import Sequence, Tuple
 from .errors import CausalityError, ConeViolationError, ValidationError
 from .propagator import _beam_peaks
 from .signals import DrivingSignal
-from .spacetime import ConeStatus, ConeVector, RealEvent, _classify, as_scalar, as_vec4
+from .spacetime import ConeStatus, ConeVector, RealEvent, _classify, _fields, as_scalar, as_vec4
 from .wavelet import wavelet_eval
 
 
@@ -221,24 +221,11 @@ def channel_to_json(ch: Channel) -> dict:
 
 
 def channel_from_json(obj: dict) -> Channel:
-    if not isinstance(obj, dict):
-        raise ValidationError("channel description must be a JSON object")
-    parts = {}
+    """The link of {"emitter": {"center": x, "extent": y}, "receiver": ...}; no other field."""
+    link = _fields(obj, "channel", ("emitter", "receiver"))
+    parts = []
     for side in ("emitter", "receiver"):
-        if side not in obj:
-            raise ValidationError(f"channel description is missing the '{side}' entry")
-        entry = obj[side]
-        if not isinstance(entry, dict) or set(entry) - {"center", "extent"}:
-            raise ValidationError(
-                f"'{side}' must be an object with exactly 'center' and 'extent' fields"
-            )
-        for field in ("center", "extent"):
-            if field not in entry:
-                raise ValidationError(f"'{side}' is missing the '{field}' 4-vector")
-            parts[side, field] = as_vec4(entry[field], f"{side} {field}")
-    return Channel(
-        RealEvent(parts["emitter", "center"][:3], parts["emitter", "center"][3]),
-        ConeVector(parts["emitter", "extent"][:3], parts["emitter", "extent"][3]),
-        RealEvent(parts["receiver", "center"][:3], parts["receiver", "center"][3]),
-        ConeVector(parts["receiver", "extent"][:3], parts["receiver", "extent"][3]),
-    )
+        entry = _fields(link[side], side, ("center", "extent"))
+        center, extent = (as_vec4(entry[key], f"{side} {key}") for key in ("center", "extent"))
+        parts += [RealEvent(center[:3], center[3]), ConeVector(extent[:3], extent[3])]
+    return Channel(*parts)

@@ -10,18 +10,21 @@ Subcommands:
     verify      run the acceptance checks and print a pass/fail table
 
 Configuration is a JSON file; command-line flags override config fields
-(precedence: flag > config > default).  Every numeric field is checked
-on the way in: a non-numeric, non-finite or (where an integer is due)
-fractional or boolean value is a validation error naming the field, and
-the grid and theta sample counts are checked against `max_points` before
-any sample is built.  CSV files are written atomically (temp file +
-rename) with a header row, shortest round-trip float formatting, '.'
-decimal separator, and Unix newlines.  Row order is row-major over the
-grid axes in declaration order (x1, x2, x3, t).  Grid rows are written as
-they are computed; an error at any point aborts the grid, names the point,
-and leaves no file behind (no partial CSV, no temp file).  Guarded
-singular points are emitted with empty value cells and a status flag; a
-value that overflows a float is an accuracy error, never a NaN or inf.
+(precedence: flag > config > default).  Every JSON object read (the
+config root, whose fields `_RUNNERS` declares, and the channel link
+included) refuses a missing required field or an unknown one, naming the
+object.  Every numeric field is checked on the way in: a non-numeric,
+non-finite or (where an integer is due) fractional or boolean value is a
+validation error naming the field, and the grid and theta sample counts
+are checked against `max_points` before any sample is built.  CSV files
+are written atomically (temp file + rename) with a header row, shortest
+round-trip floats, '.' decimal separator, and Unix newlines.  Row order
+is row-major over the grid axes in declaration order (x1, x2, x3, t).
+Rows are written as they are computed; an error at any point aborts the
+grid, names the point, and leaves no file behind (no partial CSV, no
+temp file).  Guarded singular points get empty value cells and a status
+flag; a value that overflows a float is an accuracy error, never a NaN
+or inf.
 
 Every subcommand writes through one grid writer; `pattern` and `channel`
 are grids over the one axis theta.  Grids are evaluated and written in
@@ -77,7 +80,7 @@ from .errors import AccuracyError, ValidationError
 from .geometry import _BLOCK, ComplexDistance, _distance_block, _tolerance
 from .propagator import _impulse_field, _impulse_field_block, beam_profile
 from .signals import DeltaDerivative, DrivingSignal, GaussianPulse, SampledSignal
-from .spacetime import ConeVector, norm3
+from .spacetime import ConeVector, _fields, norm3
 from .wavelet import _field, _radial_distance
 
 GRID_AXES = ("x1", "x2", "x3", "t")
@@ -85,6 +88,7 @@ FIELD_COLUMNS = ("re", "im", "abs", "status")
 # Bit pattern of a wavelet field argument (p, q, t).
 _FIELD_KEY = struct.Struct("<ddd")
 DEFAULT_POINT_CAP = 10**8
+_AXIS_FIELDS = ("min", "max", "count")
 
 
 # ---------------------------------------------------------------------------
@@ -122,12 +126,10 @@ def _axis(name: str, spec) -> Tuple[int, Callable[[], np.ndarray]]:
         lo = hi = _number(spec, name)
         count = 1
     elif isinstance(spec, dict):
-        extra = set(spec) - {"min", "max", "count"}
-        if extra:
-            raise ValidationError(f"'{name}' has unknown fields {sorted(extra)}")
-        lo = _number(spec.get("min"), f"{name}.min")
-        hi = _number(spec.get("max"), f"{name}.max")
-        count = _number(spec.get("count"), f"{name}.count", integer=True)
+        _fields(spec, name, _AXIS_FIELDS)
+        lo = _number(spec["min"], f"{name}.min")
+        hi = _number(spec["max"], f"{name}.max")
+        count = _number(spec["count"], f"{name}.count", integer=True)
         if count < 1:
             raise ValidationError(f"'{name}.count' must be >= 1, got {count}")
         if lo > hi:
@@ -157,23 +159,16 @@ def _check_cap(config: dict, total: int, what: str) -> None:
 
 def grid_from_config(config: dict, names: Sequence[str]) -> Tuple[np.ndarray, ...]:
     """The sample values of each axis in `names`, in that order."""
-    grid_cfg = config.get("grid", {})
-    if not isinstance(grid_cfg, dict):
-        raise ValidationError("'grid' must be an object mapping axis names to specs")
-    unknown = set(grid_cfg) - set(names)
-    if unknown:
-        raise ValidationError(
-            f"grid axes {sorted(unknown)} are not available here; allowed: {list(names)}"
-        )
+    grid_cfg = _fields(config.get("grid", {}), "grid", optional=names)
     axes = [(name, *_axis(f"grid.{name}", grid_cfg.get(name, 0.0))) for name in names]
     _check_cap(config, math.prod(count for _, count, _ in axes), "grid")
     return tuple(build() for _, _, build in axes)
 
 
 _SIGNAL_FIELDS = {
-    "delta": {"type", "order"},
-    "gaussian": {"type", "center", "width", "amplitude"},
-    "sampled": {"type", "path", "times", "values"},
+    "delta": ("order",),
+    "gaussian": ("center", "width", "amplitude"),
+    "sampled": ("path", "times", "values"),
 }
 
 
@@ -183,9 +178,7 @@ def signal_from_config(obj) -> DrivingSignal:
     kind = obj["type"]
     if not isinstance(kind, str) or kind not in _SIGNAL_FIELDS:
         raise ValidationError(f"unknown signal type {kind!r}; use delta, gaussian, or sampled")
-    extra = set(obj) - _SIGNAL_FIELDS[kind]
-    if extra:
-        raise ValidationError(f"'signal' of type {kind!r} has unknown fields {sorted(extra)}")
+    _fields(obj, "signal", ("type",), _SIGNAL_FIELDS[kind])
     if kind == "delta":
         return DeltaDerivative(_number(obj.get("order", 0), "signal.order", integer=True))
     if kind == "gaussian":
@@ -209,8 +202,6 @@ def signal_from_config(obj) -> DrivingSignal:
 
 
 def extent_from_config(config: dict) -> ConeVector:
-    if "extent" not in config:
-        raise ValidationError("config is missing the 'extent' 4-vector [y1, y2, y3, s]")
     ext = config["extent"]
     if not isinstance(ext, (list, tuple)) or len(ext) != 4:
         raise ValidationError("'extent' must be a 4-element array [y1, y2, y3, s]")
@@ -355,10 +346,10 @@ def _run_propagator(config: dict, out: str) -> None:
         re, im, magnitude, bad = _impulse_field_block(p, q, t, extent.time)
         refused = (bad | ~np.isfinite(magnitude)) & ~singular
         if refused.any():
-            # the scalar field raises the error text of the first refused row
             k = int(np.argmax(refused))
             dist = ComplexDistance(float(p[k]), float(q[k]))
-            format_float(abs(_impulse_field(dist, float(t[k]), extent.time)))
+            # the first refused row raises: a bad row in _impulse_field, an overflow in abs
+            abs(_impulse_field(dist, float(t[k]), extent.time))
         status = np.where(singular, "singular", np.where(on_cut, "on_cut", "ok"))
         return (*(_cells(col, singular) for col in (re, im, magnitude)), status.tolist())
 
@@ -399,22 +390,18 @@ def _run_wavelet(config: dict, out: str) -> None:
     _write_grid(out, GRID_AXES, grid_from_config(config, GRID_AXES), FIELD_COLUMNS, evaluate)
 
 
-def _theta_values(config: dict, default_min: float, default_max: float, default_count: int):
-    theta_cfg = config.get("theta", {})
-    if not isinstance(theta_cfg, dict):
-        raise ValidationError("'theta' must be an object with min/max/count")
+def _theta_axis(config: dict, default_min: float, default_max: float, default_count: int):
+    """The function building the theta axis, once its spec and its count are checked."""
+    theta_cfg = _fields(config.get("theta", {}), "theta", optional=_AXIS_FIELDS)
     spec = {"min": default_min, "max": default_max, "count": default_count, **theta_cfg}
     count, build = _axis("theta", spec)
     _check_cap(config, count, "theta")
-    return build()
+    return build
 
 
 def _run_pattern(config: dict, out: str) -> None:
-    for key in ("s", "a", "r"):
-        if key not in config:
-            raise ValidationError(f"pattern config is missing '{key}'")
     s, a, r = (_number(config[key], key) for key in ("s", "a", "r"))
-    thetas = _theta_values(config, 0.0, math.pi, 181)
+    thetas = _theta_axis(config, 0.0, math.pi, 181)()
 
     def evaluate(points):
         profile = beam_profile(s, a, r, points[:, 0])
@@ -425,16 +412,15 @@ def _run_pattern(config: dict, out: str) -> None:
 
 
 def _run_channel(config: dict, out: str) -> None:
-    if "channel" not in config:
-        raise ValidationError("channel config is missing the 'channel' object")
     ch = channel_from_json(config["channel"])
     signal = signal_from_config(config.get("signal", {"type": "delta"}))
     separation = norm3(ch.separation.space)
     if separation <= 0.0:
         raise ValidationError("channel endpoints must be spatially separated for a scan")
+    # theta is checked before the amplitude's quadrature, and built after it
+    build_theta = _theta_axis(config, -math.pi, math.pi, 721)
     metrics = channel_metrics(ch)
     amplitude = channel_amplitude(ch, signal)
-    thetas = _theta_values(config, -math.pi, math.pi, 721)
     emitter, receiver = ch.emitter_extent, ch.receiver_extent
 
     def evaluate(points):
@@ -443,7 +429,7 @@ def _run_channel(config: dict, out: str) -> None:
         )
         return ([format_float(peak) for _, peak in scan],)
 
-    _write_grid(out, ("theta",), (thetas,), ("peak",), evaluate)
+    _write_grid(out, ("theta",), (build_theta(),), ("peak",), evaluate)
 
     def jsonable(value):
         # infinite bandwidth (an idealized point endpoint, or a duration
@@ -483,27 +469,25 @@ def _run_verify(only) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str):
     try:
         with open(path, encoding="utf-8") as handle:
-            config = json.load(handle)
+            return json.load(handle)
     except OSError as exc:
         raise ValidationError(f"cannot read config file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ValidationError(f"config file {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ValidationError("config root must be a JSON object")
-    return config
 
 
+# name: (runner, required root fields, optional root fields); main also reads "out"
 _RUNNERS = {
-    "distance": _run_distance,
-    "propagator": _run_propagator,
-    "wavelet": _run_wavelet,
-    "pattern": _run_pattern,
-    "channel": _run_channel,
+    "distance": (_run_distance, ("extent",), ("grid", "near_circle_tol", "max_points")),
+    "propagator": (_run_propagator, ("extent",), ("grid", "near_circle_tol", "max_points")),
+    "wavelet": (_run_wavelet, ("extent",), ("grid", "signal", "near_circle_tol", "max_points")),
+    "pattern": (_run_pattern, ("s", "a", "r"), ("theta", "max_points")),
+    "channel": (_run_channel, ("channel",), ("signal", "theta", "max_points")),
 }
 
 
@@ -537,7 +521,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if args.command == "verify":
             return _run_verify(None if args.only is None else args.only.split(","))
-        config = _load_config(args.config)
+        runner, required, optional = _RUNNERS[args.command]
+        config = _fields(_load_config(args.config), "config root", required, (*optional, "out"))
         if args.threads is not None and args.threads < 1:
             raise ValidationError(f"thread count must be >= 1, got {args.threads}")
         out = args.out or config.get("out")
@@ -545,7 +530,7 @@ def main(argv=None) -> int:
             raise ValidationError("no output path: pass --out or set 'out' in the config")
         if not isinstance(out, str):
             raise ValidationError(f"'out' must be a string, got {out!r}")
-        _RUNNERS[args.command](config, out)
+        runner(config, out)
         return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

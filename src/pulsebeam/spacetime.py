@@ -46,6 +46,20 @@ def as_vec4(values: Sequence[float], what: str = "4-vector") -> Tuple[float, ...
     return _as_vec(values, 4, what)
 
 
+def _fields(obj, name: str, required: Sequence[str] = (), optional: Sequence[str] = ()):
+    """`obj`, once it is a JSON object with every required field and no undeclared one."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"'{name}' must be a JSON object, got {type(obj).__name__}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ValidationError(f"'{name}' is missing {missing}")
+    unknown = [key for key in obj if key not in required and key not in optional]
+    if unknown:
+        allowed = [*required, *optional]
+        raise ValidationError(f"'{name}' has unknown fields {unknown}; allowed: {allowed}")
+    return obj
+
+
 def as_scalar(value: float, what: str = "scalar") -> float:
     try:
         value = float(value)

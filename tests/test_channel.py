@@ -232,6 +232,15 @@ def test_json_validation():
                 "receiver": {"center": [0, 0, 5, 5], "extent": [0, 0, 1, 2]},
             }
         )
+    with pytest.raises(ValidationError, match="recevier"):
+        # a misspelt extra side next to the two real endpoints
+        channel_from_json(
+            {
+                "emitter": {"center": [0, 0, 0, 0], "extent": [0, 0, 0, 0]},
+                "receiver": {"center": [0, 0, 5, 5], "extent": [0, 0, 1, 2]},
+                "recevier": {"center": [0, 0, 5, 5], "extent": [0, 0, 1, 2]},
+            }
+        )
 
 
 def test_triangle_inequality_random_extents():

@@ -2,6 +2,8 @@ import io
 import itertools
 import json
 import math
+import pathlib
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -299,6 +301,32 @@ EXTENT = [0.0, 0.0, 1.0, 2.0]
         ),
         pytest.param("pattern", [2.0, 1.0, 100.0], "config root", id="root-not-an-object"),
         pytest.param("channel", {"signal": {"type": "delta"}}, "'channel'", id="no-channel"),
+        pytest.param(
+            # a misspelt signal would otherwise run with the delta-impulse default
+            "wavelet",
+            {"extent": EXTENT, "signl": {"type": "gaussian", "width": 0.5}, "grid": AXIS},
+            "unknown fields ['signl']",
+            id="root-unknown-field",
+        ),
+        pytest.param(
+            "propagator",
+            {"extent": EXTENT, "max_ponts": 10, "grid": AXIS},
+            "unknown fields ['max_ponts']",
+            id="root-misspelt-cap",
+        ),
+        pytest.param(
+            "distance",
+            {"extent": EXTENT, "near_circle_tl": 0.6, "grid": AXIS},
+            "unknown fields ['near_circle_tl']",
+            id="root-misspelt-tol",
+        ),
+        pytest.param("pattern", {"s": 2.0}, "'a'", id="pattern-missing-field"),
+        pytest.param(
+            "channel",
+            {"channel": dict(CHANNEL_OBJ, recevier=CHANNEL_OBJ["receiver"])},
+            "unknown fields ['recevier']",
+            id="channel-unknown-side",
+        ),
     ],
 )
 def test_malformed_config_values_are_one_line_errors(tmp_path, capsys, command, config, field):
@@ -795,7 +823,7 @@ def test_each_package_error_exits_with_one_line(tmp_path, capsys, monkeypatch, e
     def runner(config, out):
         raise error("stand-in failure")
 
-    monkeypatch.setitem(cli._RUNNERS, "pattern", runner)
+    monkeypatch.setitem(cli._RUNNERS, "pattern", (runner, (), ()))
     code, _ = run_cli(tmp_path, "pattern", {})
     err = capsys.readouterr().err
     assert code == (2 if issubclass(error, errors.AccuracyError) else 1)
@@ -1072,6 +1100,75 @@ def test_fuzzed_configs_end_with_a_documented_exit_code(tmp_path, command):
             json.loads(stdout.getvalue(), parse_constant=lambda name: pytest.fail(name))
 
     check()
+
+
+@st.composite
+def config_with_an_extra_field(draw, command):
+    """A valid config with one `zz_` field added to the root or to one of its objects."""
+    config = draw(VALID_CONFIGS[command])
+    objects = [config]
+    for path in _paths(config):
+        node = config
+        for key in path:
+            node = node[key]
+        if isinstance(node, dict):
+            objects.append(node)
+    draw(st.sampled_from(objects))["zz_" + draw(st.text(max_size=3))] = draw(JUNK)
+    return config
+
+
+@pytest.mark.parametrize("command", sorted(VALID_CONFIGS))
+def test_an_extra_field_in_any_config_object_never_exits_0(tmp_path, command):
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(config=config_with_an_extra_field(command))
+    def check(config):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code, out = run_cli(tmp_path, command, config)
+        assert code != 0 and len(stderr.getvalue().splitlines()) == 1
+        assert not out.exists()
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "theta", [{"count": "x"}, {"count": 65}], ids=["count-not-an-integer", "count-over-the-cap"]
+)
+def test_channel_checks_theta_before_the_amplitude(tmp_path, capsys, monkeypatch, theta):
+    # the amplitude of a Gaussian signal is a quadrature: a bad theta must not wait for it
+    def no_amplitude(*args):
+        raise AssertionError("channel_amplitude called before theta was checked")
+
+    monkeypatch.setattr(cli, "channel_amplitude", no_amplitude)
+    config = {
+        "channel": CHANNEL_OBJ,
+        "signal": {"type": "gaussian"},
+        "theta": theta,
+        "max_points": 64,
+    }
+    code, out = run_cli(tmp_path, "channel", config)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and len(err.splitlines()) == 1 and "theta" in err
+    assert not out.exists()
+
+
+README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+# each json block, and the subcommand of a `pulsebeam` sh block right after it, if any
+README_CONFIGS = re.findall(r"```json\n(.*?)```\n+(?:```sh\npulsebeam (\w+))?", README, re.S)
+
+
+def test_readme_configs_run(tmp_path, capsys):
+    assert len(README_CONFIGS) == 3
+    for block, named in README_CONFIGS:
+        config = json.loads(block)
+        holders = [
+            name for name, (_, required, _) in cli._RUNNERS.items() if set(required) <= set(config)
+        ]
+        # the grid subcommands share their one required field: an sh block names which runs
+        assert named in holders if named else len(holders) == 1
+        code, _ = run_cli(tmp_path, named or holders[0], config)
+        assert code == 0, capsys.readouterr().err
 
 
 def test_pattern_converts_scalars_before_building_the_theta_axis(tmp_path, capsys, monkeypatch):
