@@ -187,18 +187,20 @@ def signal_from_config(obj) -> DrivingSignal:
             width=_number(obj.get("width", 1.0), "signal.width"),
             amplitude=_number(obj.get("amplitude", 1.0), "signal.amplitude"),
         )
+    # exactly one source: the path, or the samples as a pair
+    samples = [key for key in ("times", "values") if key in obj]
+    if ("path" in obj) == bool(samples) or len(samples) == 1:
+        raise ValidationError("sampled signal needs either 'path' or 'times'+'values', not both")
     if "path" in obj:
         if not isinstance(obj["path"], str):
             raise ValidationError(f"'signal.path' must be a string, got {obj['path']!r}")
         return SampledSignal.from_csv(obj["path"])
-    if "times" in obj and "values" in obj:
-        if not (isinstance(obj["times"], list) and isinstance(obj["values"], list)):
-            raise ValidationError("sampled signal 'times' and 'values' must be arrays")
-        return SampledSignal(
-            tuple(_number(v, f"signal.times[{i}]") for i, v in enumerate(obj["times"])),
-            tuple(_number(v, f"signal.values[{i}]") for i, v in enumerate(obj["values"])),
-        )
-    raise ValidationError("sampled signal needs either 'path' or 'times'+'values'")
+    if not (isinstance(obj["times"], list) and isinstance(obj["values"], list)):
+        raise ValidationError("sampled signal 'times' and 'values' must be arrays")
+    return SampledSignal(
+        tuple(_number(v, f"signal.times[{i}]") for i, v in enumerate(obj["times"])),
+        tuple(_number(v, f"signal.values[{i}]") for i, v in enumerate(obj["values"])),
+    )
 
 
 def extent_from_config(config: dict) -> ConeVector:

@@ -7,28 +7,22 @@ string.  Its id and name are written once, in `ACCEPTANCE_CHECKS`.
 id and name in a `CheckResult`, and is shared by the CLI `verify`
 subcommand and the acceptance test module.
 
-Checks 1-3 evaluate their points through the block kernel
-`geometry._distance_block` (and `_rho_block` for check 3), in slices of
-`_BLOCK` rows so that memory stays bounded, keeping running maxima.  The
-kernel is bit-identical to the scalar `complex_distance` and
-`spheroidal_coords`, which stay its oracle in the tests, and the checks
-keep their seeds, sample counts, draw order and tolerances, so their
-detail strings are those of a point-by-point loop.
+The seeded checks (1-4, 6 and 7) draw whole arrays from their generator:
+`_unit_vectors(rng, n)` for directions, `rng.uniform(lo, hi, n)`,
+`rng.choice([-1.0, 1.0], n)` for signs and `10.0 ** array` for log-uniform
+lengths.  Each keeps its seed, its sample count, its distributions and its
+bounds, so a run is reproducible and its detail string is pinned in the
+tests; a change to any of them changes the string on purpose.  Checks 1-3
+evaluate their points through the block kernel `geometry._distance_block`
+(and `_rho_block` for check 3), in slices of `_BLOCK` rows so that memory
+stays bounded, keeping running maxima.  The kernel is bit-identical to the
+scalar `complex_distance` and `spheroidal_coords`, which stay its oracle
+in the tests.
 
-The draw rule: a check whose loop interleaves its draws still makes them
-one at a time and in the loop's order, but into preallocated arrays and
-through the cheapest numpy call with the same bits.  A scalar
-`rng.uniform(lo, hi)` is `_uniform(lo, hi, rng.random())`, a unit vector
-is a row filled by `rng.standard_normal(out=...)` and scaled by
-`_unit_rows`, a sign `rng.choice([-1.0, 1.0])` is
-`(-1.0, 1.0)[rng.integers(0, 2)]`, and `10.0 ** u` goes through `_pow10`.
-The arithmetic then runs on the arrays.  Check 6 cannot draw ahead, since
-the number of its eta trials depends on the data, so it draws one link
-at a time into Python floats with the same bits (`_unit3` is `_unit_rows`
-on one row).  Checks 6 and 7 run on flat values, not on `Channel`,
-`ConeVector` or `RealEvent` objects: `_link_durations` does the
-operations of `ConeVector.__add__` and `channel_metrics` on flat arrays,
-and `_translation_trials` sums and moves its links on float tuples with
+Checks 6 and 7 run on flat values, not on `Channel`, `ConeVector` or
+`RealEvent` objects: `_link_durations` does the operations of
+`ConeVector.__add__` and `channel_metrics` on flat arrays, and
+`_translation_trials` sums and moves its links on float tuples with
 `channel._summed` and `channel._moved`, the formulas that `Channel` and
 `channel_translate` are built on.  The object routes stay the oracles in
 the tests over every link.
@@ -43,7 +37,6 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import dataclass
-from itertools import repeat
 from operator import add, sub
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -64,7 +57,7 @@ from .signals import (
     analytic_signal,
     spectral_signal,
 )
-from .spacetime import ConeVector, RealEvent, _require_admissible
+from .spacetime import ConeVector, RealEvent
 from .wavelet import (
     _FOUR_PI,
     _field,
@@ -91,60 +84,6 @@ def _unit_vectors(rng: np.random.Generator, count: int) -> np.ndarray:
     return vecs / norms[:, None]
 
 
-def _unit_rows(g: np.ndarray) -> np.ndarray:
-    """Rows of standard normal draws `g` scaled to unit length, in place.
-
-    The operations of `_unit_vectors` (numpy's row norm sums the squares
-    left to right), so its rows come out bit for bit when `g` holds the
-    same draws, made a row at a time with `rng.standard_normal(out=g[k])`.
-    (`rng.normal` adds its zero mean, which changes only a draw of -0.0.)
-    Scaling in place keeps one block-sized array fewer on the heap.
-    """
-    sq = g * g
-    norm = np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2])
-    norm[norm < 1e-12] = 1.0
-    g /= norm[:, None]
-    return g
-
-
-def _uniform(lo: float, hi: float, unit):
-    """`rng.uniform(lo, hi)` from `unit = rng.random()`, bit for bit.
-
-    numpy draws a uniform as lo + (hi - lo) * next_double, and
-    `rng.random()` is next_double, at a third of the cost of a scalar
-    `rng.uniform` call.  `unit` may be an array of such draws.
-    """
-    return lo + (hi - lo) * unit
-
-
-def _direction_draws(rng: np.random.Generator, count: int, uniforms: int):
-    """`count` unit directions, each drawn before its row of `uniforms` unit draws.
-
-    The draws are those of a loop that takes one direction and then
-    `uniforms` scalar `rng.random()` values per row, in that order.
-    """
-    g, units = np.empty((count, 3)), np.empty((count, uniforms))
-    normal, random = rng.standard_normal, rng.random
-    for row, draws in zip(g, units):
-        normal(out=row)
-        random(out=draws)
-    return _unit_rows(g), units
-
-
-def _pow2(values: np.ndarray) -> np.ndarray:
-    """values ** 2 as Python computes it for a float.
-
-    That is the C library's pow, which differs from v * v (numpy's
-    square) in the last bit on about 0.1% of values.
-    """
-    return np.fromiter(map(pow, values.tolist(), repeat(2)), float, len(values))
-
-
-def _pow10(values: np.ndarray) -> np.ndarray:
-    """10.0 ** values as Python computes it for a float (see `_pow2`)."""
-    return np.fromiter(map(pow, repeat(10.0), values.tolist()), float, len(values))
-
-
 def _offset_blocks(rng: np.random.Generator, n: int):
     """The n offsets of checks 1-2 as (x, yhat, a, r, p, q), a `_BLOCK` of rows at a time.
 
@@ -169,7 +108,7 @@ def check_distance_identities() -> Tuple[bool, str]:
     worst_pq = 0.0
     for x, yhat, a, r, p, q in _offset_blocks(np.random.default_rng(20260801), n):
         x3 = _dot_rows(x, yhat)
-        res_sq = np.abs((p * p - q * q) - (r * r - a * a)) / _pow2(r + a)
+        res_sq = np.abs((p * p - q * q) - (r * r - a * a)) / (r + a) ** 2
         res_pq = np.abs(p * q - a * x3) / np.maximum(a * r, 1e-300)
         worst_sq = max(worst_sq, float(res_sq.max()))
         worst_pq = max(worst_pq, float(res_pq.max()))
@@ -194,20 +133,15 @@ def check_distance_bounds() -> Tuple[bool, str]:
         worst_q = max(worst_q, float(((np.abs(q) - a) / a).max()))
         off_origin = r > 0.0
         cos_angle = _dot_rows(x, yhat)[off_origin] / r[off_origin]
-        sin_angle = np.sqrt(np.maximum(1.0 - _pow2(cos_angle), 0.0))
+        sin_angle = np.sqrt(np.maximum(1.0 - cos_angle**2, 0.0))
         strict = (r - p > 0.0) & (a - np.abs(q) > 0.0)
         if not strict[off_origin][sin_angle > 0.1].all():
             oblique_ok = False
     # On-axis batch: equality of both bounds to 1e-12.
-    g, u_a, sign, u_lam = np.empty((2000, 3)), np.empty(2000), np.empty(2000), np.empty(2000)
-    for k in range(2000):
-        rng.standard_normal(out=g[k])
-        u_a[k] = rng.random()
-        sign[k] = (-1.0, 1.0)[rng.integers(0, 2)]
-        u_lam[k] = rng.random()
-    yhat = _unit_rows(g)
-    a = _pow10(_uniform(-1.0, 0.5, u_a))
-    lam = sign * _pow10(_uniform(-1.0, 1.0, u_lam)) * a
+    yhat = _unit_vectors(rng, 2000)
+    a = 10.0 ** rng.uniform(-1.0, 0.5, 2000)
+    sign = rng.choice([-1.0, 1.0], 2000)
+    lam = sign * 10.0 ** rng.uniform(-1.0, 1.0, 2000) * a
     _, r, _, p, q, _, _ = _distance_block(lam[:, None] * yhat, a[:, None] * yhat)
     worst_axis = max(
         0.0,
@@ -234,32 +168,23 @@ def check_spheroidal_residuals() -> Tuple[bool, str]:
     wanted = 10_000
     accepted = 0
     worst = 0.0
-    normal, random = rng.standard_normal, rng.random
     while accepted < wanted:
-        # Candidates are drawn one at a time, in the order of a point-by-point
-        # loop, and evaluated a block at a time.  A candidate yields at most
-        # one point, so a block of no more candidates than points still
-        # wanted never draws past the last accepted one.  The draws go
-        # straight into arrays: a block of Python tuples grew the peak RSS
-        # of repeated runs by 2 MB.
+        # A candidate yields at most one point, so a block of no more
+        # candidates than points still wanted never draws past the last
+        # accepted one.
         rows = min(_BLOCK, wanted - accepted)
-        gy, gx, units = np.empty((rows, 3)), np.empty((rows, 3)), np.empty((rows, 2))
-        for row_y, draws, row_x in zip(gy, units, gx):
-            normal(out=row_y)
-            random(out=draws)
-            normal(out=row_x)
-        yhat = _unit_rows(gy)
-        a = _pow10(_uniform(-0.5, 0.5, units[:, 0]))
-        x = (a * _pow10(_uniform(-1.0, 0.6, units[:, 1])))[:, None] * _unit_rows(gx)
+        yhat = _unit_vectors(rng, rows)
+        a = 10.0 ** rng.uniform(-0.5, 0.5, rows)
+        x = (a * 10.0 ** rng.uniform(-1.0, 0.6, rows))[:, None] * _unit_vectors(rng, rows)
         y = a[:, None] * yhat
         norm_y, r, _, p, q, _, _ = _distance_block(x, y)
         # Both identities need p != 0 and 0 < |q| < a with sane conditioning.
         keep = ~((p < 0.05 * a) | (np.abs(q) < 0.05 * a) | (np.abs(q) > 0.95 * a))
         keep = np.flatnonzero(keep)
         x, yhat, a, p, q = x[keep], yhat[keep], a[keep], p[keep], q[keep]
-        rho_sq = _pow2(_rho_block(x, y[keep], norm_y[keep], r[keep]))
+        rho_sq = _rho_block(x, y[keep], norm_y[keep], r[keep]) ** 2
         x3 = _dot_rows(x, yhat)
-        p_sq, q_sq = _pow2(p), _pow2(q)
+        p_sq, q_sq = p**2, q**2
         res1 = np.abs(rho_sq / (a * a + p_sq) + x3 * x3 / p_sq - 1.0)
         res2 = np.abs(rho_sq / (a * a - q_sq) - x3 * x3 / q_sq - 1.0)
         worst = max(worst, float(res1.max(initial=0.0)), float(res2.max(initial=0.0)))
@@ -283,11 +208,11 @@ def check_wave_residual_order() -> Tuple[bool, str]:
 
     points: List[RealEvent] = []
     while len(points) < 20:
-        xhat = _unit3(*rng.standard_normal(3).tolist())
+        xhat = _unit_vectors(rng, 1)[0].tolist()
         if abs(xhat[2]) < 0.12:
             continue
-        r = _uniform(1.5, 3.5, rng.random())
-        t = r + _uniform(-0.5, 0.5, rng.random())
+        r = rng.uniform(1.5, 3.5)
+        t = r + rng.uniform(-0.5, 0.5)
         event = RealEvent((r * xhat[0], r * xhat[1], r * xhat[2]), t)
         scale = abs(wavelet_eval(delta, event, extent))
         ratio = abs(wave_residual(delta, event, extent, steps[0])) / scale
@@ -355,34 +280,15 @@ def check_hyperfunction_jump() -> Tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 
-def _interior_extents(rng: np.random.Generator, count: int, min_margin: float):
-    """`count` interior extents (space rows, lags), drawn one extent at a time."""
-    direction, units = _direction_draws(rng, count, 2)
-    radius = _uniform(0.2, 1.0, units[:, 0])
-    margin = _uniform(min_margin, min_margin + 0.8, units[:, 1])
-    return radius[:, None] * direction, radius + margin
+def _extents(rng: np.random.Generator, count: int, min_margin: float):
+    """`count` interior extents as (space rows, lags).
 
-
-def _unit3(g0: float, g1: float, g2: float) -> Tuple[float, float, float]:
-    """`_unit_rows` on one row of draws, in Python floats, bit for bit."""
-    norm = math.sqrt((g0 * g0 + g1 * g1) + g2 * g2)
-    if norm < 1e-12:
-        norm = 1.0
-    return g0 / norm, g1 / norm, g2 / norm
-
-
-def _extent_draw(normal, random) -> Tuple[float, ...]:
-    """One extent (x1, x2, x3, lag) of `_interior_extents` with min_margin 0.5.
-
-    An extent that is not interior raises `ConeVector`'s error.
+    Each has a unit direction, a radius in U(0.2, 1) and a lag that exceeds
+    the radius by U(min_margin, min_margin + 0.8).
     """
-    d = _unit3(*normal(3).tolist())
-    u_radius, u_margin = random(2).tolist()
-    radius = _uniform(0.2, 1.0, u_radius)
-    space = (radius * d[0], radius * d[1], radius * d[2])
-    lag = radius + _uniform(0.5, 0.5 + 0.8, u_margin)
-    _require_admissible(space, lag)
-    return (*space, lag)
+    direction = _unit_vectors(rng, count)
+    radius = rng.uniform(0.2, 1.0, count)
+    return radius[:, None] * direction, radius + rng.uniform(min_margin, min_margin + 0.8, count)
 
 
 def _translation_trials(rng: np.random.Generator, signal, count: int):
@@ -390,47 +296,55 @@ def _translation_trials(rng: np.random.Generator, signal, count: int):
 
     Yields (link, xi, eta, [reference, moved, point receiver, point
     emitter]) per link, the link as (emitter extent, receiver extent,
-    emitter center, receiver center) 4-tuples.  Each link is summed and
-    moved by `channel._summed` and `channel._moved`, the formulas of
-    `Channel` and `channel_translate`, and evaluated as `channel_amplitude`
-    evaluates it, without building those objects.  No link needs a
-    redraw: the centers are 3 to 6 apart and the combined radius is at
-    most 2, so |p - iq|^2 >= r^2 - a^2 >= 5, far from the branch circle.
+    emitter center, receiver center) 4-tuples.  A link's eta is the first
+    of up to 50 normal trials, of scale 0.15 times its smaller extent
+    margin, that keeps both moved extents interior, or zero.  Each link is
+    summed and moved by `channel._summed` and `channel._moved`, the
+    formulas of `Channel` and `channel_translate`, and evaluated as
+    `channel_amplitude` evaluates it, without building those objects.  No
+    link needs a redraw: the centers are 3 to 6 apart and the combined
+    radius is at most 2, so |p - iq|^2 >= r^2 - a^2 >= 5, far from the
+    branch circle.
     """
-    normal, random = rng.standard_normal, rng.random
-    zero = (0.0, 0.0, 0.0, 0.0)
-    for _ in range(count):
-        e, r = _extent_draw(normal, random), _extent_draw(normal, random)
-        center = [_uniform(-2.0, 2.0, u) for u in random(3).tolist()]
-        d = _unit3(*normal(3).tolist())
-        u_separation, u_time, u_jitter = random(3).tolist()
-        separation = _uniform(3.0, 6.0, u_separation)
-        t_e = _uniform(-1.0, 1.0, u_time)
-        c_e = (*center, t_e)
-        c_r = (
-            *(c + separation * v for c, v in zip(center, d)),
-            t_e + separation + _uniform(-0.3, 0.3, u_jitter),
+    e, r = (np.column_stack(_extents(rng, count, 0.5)) for _ in range(2))
+    c_e = np.column_stack([rng.uniform(-2.0, 2.0, (count, 3)), rng.uniform(-1.0, 1.0, count)])
+    separation = rng.uniform(3.0, 6.0, count)
+    c_r = np.column_stack(
+        [
+            c_e[:, :3] + separation[:, None] * _unit_vectors(rng, count),
+            c_e[:, 3] + separation + rng.uniform(-0.3, 0.3, count),
+        ]
+    )
+    xi = rng.uniform(-1.0, 1.0, (count, 4))
+    scale = 0.15 * np.minimum(e[:, 3] - _norm_rows(e[:, :3]), r[:, 3] - _norm_rows(r[:, :3]))
+    eta = np.zeros((count, 4))
+    pending = np.arange(count)
+    for _round in range(50):
+        trial = rng.normal(0.0, scale[pending, None], (len(pending), 4))
+        # the test of `channel._moved`: lag > hypot(space) after the move
+        e_moved, r_moved = e[pending] + trial, r[pending] - trial
+        moved = (_norm_rows(e_moved[:, :3]) < e_moved[:, 3]) & (
+            _norm_rows(r_moved[:, :3]) < r_moved[:, 3]
         )
-        y, x = _summed(e, r), tuple(map(sub, c_r, c_e))
-        reference = _field(signal, complex_distance(x[:3], y[:3]), x[3], y[3])
-        xi = tuple(_uniform(-1.0, 1.0, u) for u in random(4).tolist())
-        scale = 0.15 * min(e[3] - math.hypot(*e[:3]), r[3] - math.hypot(*r[:3]))
-        for _attempt in range(50):
-            # rng.normal(0.0, scale) is 0.0 + scale * rng.standard_normal()
-            eta = tuple(0.0 + scale * z for z in normal(4).tolist())
-            e_moved, r_moved = tuple(map(add, e, eta)), tuple(map(sub, r, eta))
-            if e_moved[3] > math.hypot(*e_moved[:3]) and r_moved[3] > math.hypot(*r_moved[:3]):
-                break
-        else:
-            eta = zero
+        eta[pending[moved]] = trial[moved]
+        pending = pending[~moved]
+        if not len(pending):
+            break
+    zero = (0.0, 0.0, 0.0, 0.0)
+    for row in np.hstack([e, r, c_e, c_r, xi, eta]):
+        # One link's row at a time into Python floats: converting all 1,000
+        # rows at once raised the peak RSS of `verify` by 0.8 MB.
+        values = row.tolist()
+        e_k, r_k, c_e_k, c_r_k, xi_k, eta_k = (tuple(values[i : i + 4]) for i in range(0, 24, 4))
+        y, x = _summed(e_k, r_k), tuple(map(sub, c_r_k, c_e_k))
+        amplitudes = [_field(signal, complex_distance(x[:3], y[:3]), x[3], y[3])]
         # The trio: the original link, an idealized event receiver, and an
         # idealized event emitter, all equivalent.
-        amplitudes = [reference]
-        for shift, exchange in ((xi, eta), (zero, r), (zero, tuple(-v for v in e))):
-            y = _summed(*_moved(e, r, exchange))
-            x = tuple(map(sub, map(add, c_r, shift), map(add, c_e, shift)))
+        for shift, exchange in ((xi_k, eta_k), (zero, r_k), (zero, tuple(-v for v in e_k))):
+            y = _summed(*_moved(e_k, r_k, exchange))
+            x = tuple(map(sub, map(add, c_r_k, shift), map(add, c_e_k, shift)))
             amplitudes.append(_field(signal, _radial_distance(x[:3], y[:3]), x[3], y[3]))
-        yield (e, r, c_e, c_r), xi, eta, amplitudes
+        yield (e_k, r_k, c_e_k, c_r_k), xi_k, eta_k, amplitudes
 
 
 def check_translation_invariance() -> Tuple[bool, str]:
@@ -455,10 +369,10 @@ def check_translation_invariance() -> Tuple[bool, str]:
 
 def _parallel_links(rng: np.random.Generator, count: int):
     """`count` links whose two extents share one direction, as (space, lag) pairs."""
-    direction, units = _direction_draws(rng, count, 4)
-    a_e, a_r = _uniform(0.1, 1.5, units[:, 0]), _uniform(0.1, 1.5, units[:, 1])
-    e_lag = a_e + _uniform(0.1, 1.0, units[:, 2])
-    r_lag = a_r + _uniform(0.1, 1.0, units[:, 3])
+    direction = _unit_vectors(rng, count)
+    a_e, a_r = rng.uniform(0.1, 1.5, count), rng.uniform(0.1, 1.5, count)
+    e_lag = a_e + rng.uniform(0.1, 1.0, count)
+    r_lag = a_r + rng.uniform(0.1, 1.0, count)
     return a_e[:, None] * direction, e_lag, a_r[:, None] * direction, r_lag
 
 
@@ -482,10 +396,10 @@ def check_duration_triangle() -> Tuple[bool, str]:
     n = 10_000
     worst_slack = math.inf
     chain_ok = True
-    # Slices of _BLOCK extents, emitter and receiver alternating in the draw
-    # order: slices of _BLOCK links grew the peak RSS of repeated runs by 0.3 MB.
+    # Slices of _BLOCK extents, emitter and receiver alternating: slices of
+    # _BLOCK links grew the peak RSS of repeated runs by 0.3 MB.
     for lo in range(0, n, _BLOCK // 2):
-        space, lag = _interior_extents(rng, 2 * min(_BLOCK // 2, n - lo), min_margin=0.05)
+        space, lag = _extents(rng, 2 * min(_BLOCK // 2, n - lo), min_margin=0.05)
         emit, receive, link, total_lag = _link_durations(
             space[0::2], lag[0::2], space[1::2], lag[1::2]
         )
@@ -617,7 +531,7 @@ def check_dual_path_signal() -> Tuple[bool, str]:
 
 
 # ---------------------------------------------------------------------------
-# 12: CLI determinism across runs and thread counts
+# 12: CLI determinism across runs
 # ---------------------------------------------------------------------------
 
 
@@ -666,21 +580,11 @@ def check_cli_determinism() -> Tuple[bool, str]:
             with open(config_path, "w") as handle:
                 json.dump(config, handle)
             outputs = []
-            for tag, threads in (("a", 1), ("b", 1), ("c", 4)):
+            for tag in "abc":
                 out_path = os.path.join(workdir, f"{command}-{tag}.csv")
                 proc = subprocess.run(
-                    [
-                        sys.executable,
-                        "-m",
-                        "pulsebeam",
-                        command,
-                        "--config",
-                        config_path,
-                        "--out",
-                        out_path,
-                        "--threads",
-                        str(threads),
-                    ],
+                    [sys.executable, "-m", "pulsebeam", command]
+                    + ["--config", config_path, "--out", out_path],
                     capture_output=True,
                 )
                 if proc.returncode != 0:
@@ -696,7 +600,7 @@ def check_cli_determinism() -> Tuple[bool, str]:
                 passed = passed and identical
                 detail.append(
                     f"{command}: {len(outputs[0])} bytes, "
-                    f"{'identical' if identical else 'DIFFER'} across 2 runs + threads 1/4"
+                    f"{'identical' if identical else 'DIFFER'} across 3 runs"
                 )
     return passed, "; ".join(detail)
 

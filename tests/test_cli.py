@@ -287,6 +287,32 @@ EXTENT = [0.0, 0.0, 1.0, 2.0]
             id="sampled-without-samples",
         ),
         pytest.param(
+            "wavelet",
+            {
+                "extent": EXTENT,
+                "signal": {"type": "sampled", "times": [0.0, 1.0]},
+                "grid": AXIS,
+            },
+            "either 'path' or 'times'+'values'",
+            id="sampled-times-without-values",
+        ),
+        pytest.param(
+            # the path used to win silently over the samples
+            "wavelet",
+            {
+                "extent": EXTENT,
+                "signal": {
+                    "type": "sampled",
+                    "path": "signal.csv",
+                    "times": [0.0, 1.0],
+                    "values": [0.0, 1.0],
+                },
+                "grid": AXIS,
+            },
+            "'times'+'values', not both",
+            id="sampled-path-and-samples",
+        ),
+        pytest.param(
             "pattern",
             {"s": 2.0, "a": 1.0, "r": 100.0, "theta": {"cuont": 3}},
             "unknown fields ['cuont']",
