@@ -226,6 +226,10 @@ def channel_from_json(obj: dict) -> Channel:
     parts = []
     for side in ("emitter", "receiver"):
         entry = _fields(link[side], side, ("center", "extent"))
+        for key in ("center", "extent"):
+            # float(True) is 1.0: a JSON boolean is refused, as in every other config number
+            if isinstance(entry[key], list) and any(isinstance(v, bool) for v in entry[key]):
+                raise ValidationError(f"{side} {key} must be 4 numbers, got {entry[key]!r}")
         center, extent = (as_vec4(entry[key], f"{side} {key}") for key in ("center", "extent"))
         parts += [RealEvent(center[:3], center[3]), ConeVector(extent[:3], extent[3])]
     return Channel(*parts)

@@ -39,14 +39,13 @@ and point.  `distance` and `propagator` evaluate a block with the array
 kernels `geometry._distance_block` and `propagator._impulse_field_block`,
 which are bit-identical to the scalar functions; the propagator's first
 refused row is evaluated by the scalar `_impulse_field`, whose error text
-it raises.  `wavelet` evaluates point by point, once per distinct field
-argument: the field depends on a point only through its complex distance
-p - iq and t, so a grid slice through the extension axis repeats each
-argument at its mirror point.  The cells are kept in a dict keyed by the
-bit patterns of (p, q, t), cleared at `_BLOCK` entries; a point near the
-singular set is flagged before the dict is consulted, and errors are
-never kept.  `pattern` and `channel` evaluate a block with `beam_profile`
-and `gain_scan`.
+it raises.  `wavelet` takes the block's complex distances p - iq from
+`_distance_block` too (for a purely temporal extension, p = |x| and
+q = 0), and evaluates the field once per distinct bit pattern of
+(p, q, t) in the block: the field depends on a point only through them,
+so a grid slice through the extension axis repeats each argument at its
+mirror point.  Nothing is kept from one block to the next.  `pattern`
+and `channel` evaluate a block with `beam_profile` and `gain_scan`.
 
 Evaluation runs in one thread.  `--threads` is still accepted for
 compatibility, as an integer >= 1; it does not change the output or the
@@ -62,7 +61,6 @@ import argparse
 import json
 import math
 import os
-import struct
 import sys
 import tempfile
 from dataclasses import asdict
@@ -77,16 +75,14 @@ from .channel import (
     gain_scan,
 )
 from .errors import AccuracyError, ValidationError
-from .geometry import _BLOCK, ComplexDistance, _distance_block, _tolerance
+from .geometry import _BLOCK, ComplexDistance, _distance_block, _norm_rows, _tolerance
 from .propagator import _impulse_field, _impulse_field_block, beam_profile
 from .signals import DeltaDerivative, DrivingSignal, GaussianPulse, SampledSignal
 from .spacetime import ConeVector, _fields, norm3
-from .wavelet import _field, _radial_distance
+from .wavelet import _field
 
 GRID_AXES = ("x1", "x2", "x3", "t")
 FIELD_COLUMNS = ("re", "im", "abs", "status")
-# Bit pattern of a wavelet field argument (p, q, t).
-_FIELD_KEY = struct.Struct("<ddd")
 DEFAULT_POINT_CAP = 10**8
 _AXIS_FIELDS = ("min", "max", "count")
 
@@ -364,30 +360,32 @@ def _run_wavelet(config: dict, out: str) -> None:
         raise ValidationError("wavelet maps need an interior extension")
     signal = signal_from_config(config.get("signal", {"type": "delta"}))
     tol = _near_circle_tol(config)
-    # The field depends on the point only through (p, q, t), and a grid slice
-    # through the extension axis repeats each of them at its mirror point.
-    # Keys are bit patterns, so arguments that compare equal but differ in the
-    # sign of a zero stay apart.  A point near the singular set is flagged
-    # before the memo is consulted, and an error is never stored.  The memo
-    # outlives a call, so the row-by-row rerun of a refused block hits it.
-    memo = {}
 
     def evaluate(points):
-        rows = []
-        for x1, x2, x3, t in points.tolist():
-            dist = _radial_distance((x1, x2, x3), extent.space, tol)
-            if dist.near_circle:
-                rows.append(("", "", "", "singular"))
-                continue
-            key = _FIELD_KEY.pack(dist.p, dist.q, t)
-            cells = memo.get(key)
-            if cells is None:
-                if len(memo) >= _BLOCK:
-                    memo.clear()
-                field = _field(signal, dist, t, extent.time)
-                cells = memo[key] = tuple(map(format_float, (field.real, field.imag, abs(field))))
-            rows.append((*cells, "on_cut" if dist.on_cut else "ok"))
-        return zip(*rows)
+        space, t = points[:, :3], points[:, 3]
+        if extent.radius == 0.0:
+            # the radial coordinate is |x|; only the origin, guarded by tol, is singular
+            p = _norm_rows(space)
+            q = np.zeros_like(p)
+            on_cut = np.zeros(len(p), dtype=bool)
+            singular = (p < (0.0 if tol is None else tol)) | (p == 0.0)
+        else:
+            extension = np.broadcast_to(extent.space, space.shape)
+            _, _, _, p, q, on_cut, singular = _distance_block(space, extension, tol)
+        ok = ~singular
+        # one field per distinct bit pattern of (p, q, t), so -0.0 and 0.0 stay apart
+        arguments = np.column_stack((p[ok], q[ok], t[ok]))
+        _, first, inverse = np.unique(
+            arguments.view(np.dtype((np.void, 24))).ravel(), return_index=True, return_inverse=True
+        )
+        values = np.empty((len(first), 3), dtype=object)
+        for k, (pk, qk, tk) in enumerate(arguments[first].tolist()):
+            field = _field(signal, ComplexDistance(pk, qk), tk, extent.time)
+            values[k] = list(map(format_float, (field.real, field.imag, abs(field))))
+        cells = np.full((len(p), 3), "", dtype=object)
+        cells[ok] = values[inverse]
+        status = np.where(singular, "singular", np.where(on_cut, "on_cut", "ok"))
+        return (*cells.T.tolist(), status.tolist())
 
     _write_grid(out, GRID_AXES, grid_from_config(config, GRID_AXES), FIELD_COLUMNS, evaluate)
 

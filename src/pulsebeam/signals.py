@@ -253,9 +253,13 @@ class SampledSignal(DrivingSignal):
 
     @classmethod
     def from_csv(cls, path) -> "SampledSignal":
-        """Load from a two-column CSV (time,value); an optional header row is skipped."""
+        """Load from a two-column CSV (time,value); an optional header row is skipped.
+
+        A leading UTF-8 byte-order mark is dropped, so it cannot turn the
+        first sample into a header row.
+        """
         try:
-            with open(path, newline="", encoding="utf-8") as handle:
+            with open(path, newline="", encoding="utf-8-sig") as handle:
                 rows = list(csv.reader(handle))
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None

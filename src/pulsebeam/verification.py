@@ -552,8 +552,8 @@ def check_cli_determinism() -> Tuple[bool, str]:
             "signal": {"type": "delta"},
             "theta": {"min": -math.pi, "max": math.pi, "count": 181},
         },
-        # the grid subcommands, the ones that sample point by point; the
-        # propagator grid crosses the cut and the branch circle
+        # the grid subcommands over the spatial axes and t; the propagator
+        # grid crosses the cut and the branch circle
         "propagator": {
             "extent": [0.0, 0.0, 1.0, 2.0],
             "grid": {

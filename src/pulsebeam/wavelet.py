@@ -39,6 +39,7 @@ from .geometry import (
     NEAR_CIRCLE_REL_TOL,
     BranchRegion,
     ComplexDistance,
+    _tolerance,
     branch_classify,
     complex_distance,
     segment_crosses_cut,
@@ -57,12 +58,13 @@ def _radial_distance(
 
     A nonzero extension takes p - iq from complex_distance; a zero one
     takes the Euclidean |x|, flagged near_circle at the spatial origin,
-    the only singular point left.
+    the only singular point left, and within near_circle_tol of it.
     """
     if any(ext_space):
         return complex_distance(x_space, ext_space, near_circle_tol=near_circle_tol)
     r = norm3(x_space)
-    return ComplexDistance(r, 0.0, near_circle=r == 0.0)
+    tol = 0.0 if near_circle_tol is None else _tolerance(near_circle_tol, "near-circle tolerance")
+    return ComplexDistance(r, 0.0, near_circle=r < tol or r == 0.0)
 
 
 def _field(signal: DrivingSignal, dist: ComplexDistance, t: float, lag: float) -> complex:

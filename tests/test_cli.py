@@ -254,6 +254,17 @@ EXTENT = [0.0, 0.0, 1.0, 2.0]
             id="channel-center-string",
         ),
         pytest.param(
+            # float(True) is 1.0, so a boolean used to be read as a coordinate
+            "channel",
+            {
+                "channel": dict(
+                    CHANNEL_OBJ, receiver={"center": [0, 0, 10, True], "extent": [0.3, 0, 0.9, 1.7]}
+                )
+            },
+            "receiver center",
+            id="channel-center-bool",
+        ),
+        pytest.param(
             "distance",
             {"extent": EXTENT, "near_circle_tol": "x", "grid": AXIS},
             "'near_circle_tol'",
@@ -548,6 +559,16 @@ MIRROR_CONFIG = {
 }
 # linspace(-0.0, -0.0, 2) is [0.0, -0.0]: one t axis holding both zeros
 SIGNED_ZERO_T = {"min": -0.0, "max": -0.0, "count": 2}
+# 9,882 rows: three blocks of the grid writer
+THREE_BLOCKS_CONFIG = {
+    "extent": [1.0, 0.0, 0.0, 1.4],
+    "signal": {"type": "delta", "order": 1},
+    "grid": {
+        "x1": {"min": -1.0, "max": 1.0, "count": 81},
+        "x2": {"min": -1.5, "max": 1.5, "count": 61},
+        "t": {"min": 0.0, "max": 1.0, "count": 2},
+    },
+}
 
 
 def scalar_wavelet_csv(config):
@@ -560,7 +581,7 @@ def scalar_wavelet_csv(config):
     signal = signal_from_config(config["signal"])
     lines = [",".join(GRID_AXES + ("re", "im", "abs", "status"))]
     for point in grid_points(config):
-        dist = _radial_distance(point[:3], space)
+        dist = _radial_distance(point[:3], space, config.get("near_circle_tol"))
         try:
             value = _field(signal, dist, point[3], lag)
             status = "on_cut" if dist.on_cut else "ok"
@@ -587,25 +608,25 @@ def scalar_wavelet_csv(config):
             },
             id="temporal",
         ),
+        pytest.param(dict(MIRROR_CONFIG, near_circle_tol=0.6), id="mirror-tol"),
+        pytest.param(
+            # the guard radius acts around the origin, the singular point of a temporal extension
+            {
+                "extent": [0.0, 0.0, 0.0, 0.7],
+                "signal": {"type": "delta"},
+                "near_circle_tol": 0.6,
+                "grid": {"x1": {"min": -1.0, "max": 1.0, "count": 5}, "t": 1.0},
+            },
+            id="temporal-tol",
+        ),
         pytest.param(
             dict(MIRROR_CONFIG, grid=dict(MIRROR_CONFIG["grid"], t=SIGNED_ZERO_T)),
             id="signed-zero-t",
         ),
-        pytest.param(
-            {
-                "extent": [1.0, 0.0, 0.0, 1.4],
-                "signal": {"type": "delta", "order": 1},
-                "grid": {
-                    "x1": {"min": -1.0, "max": 1.0, "count": 81},
-                    "x2": {"min": -1.5, "max": 1.5, "count": 61},
-                    "t": {"min": 0.0, "max": 1.0, "count": 2},
-                },
-            },
-            id="memo-cleared",
-        ),
+        pytest.param(THREE_BLOCKS_CONFIG, id="three-blocks"),
     ],
 )
-def test_wavelet_memo_matches_the_scalar_path_byte_for_byte(tmp_path, config):
+def test_wavelet_grid_matches_the_scalar_path_byte_for_byte(tmp_path, config):
     expected = scalar_wavelet_csv(config)
     statuses = {row.rsplit(",", 1)[1] for row in expected.decode().splitlines()[1:]}
     assert {"ok", "singular"} <= statuses
@@ -615,10 +636,19 @@ def test_wavelet_memo_matches_the_scalar_path_byte_for_byte(tmp_path, config):
 
 
 @pytest.mark.parametrize(
-    "t", [MIRROR_CONFIG["grid"]["t"], SIGNED_ZERO_T], ids=["t", "signed-zero-t"]
+    "config",
+    [
+        pytest.param(MIRROR_CONFIG, id="t"),
+        pytest.param(
+            dict(MIRROR_CONFIG, grid=dict(MIRROR_CONFIG["grid"], t=SIGNED_ZERO_T)),
+            id="signed-zero-t",
+        ),
+        pytest.param(THREE_BLOCKS_CONFIG, id="three-blocks"),
+    ],
 )
-def test_wavelet_grid_evaluates_each_distinct_field_argument_once(tmp_path, monkeypatch, t):
+def test_wavelet_grid_evaluates_each_distinct_field_argument_once(tmp_path, monkeypatch, config):
     import pulsebeam.wavelet
+    from pulsebeam.geometry import _BLOCK
     from pulsebeam.wavelet import _radial_distance
 
     calls = []
@@ -629,21 +659,24 @@ def test_wavelet_grid_evaluates_each_distinct_field_argument_once(tmp_path, monk
         return analytic_signal(signal, tau)
 
     monkeypatch.setattr(pulsebeam.wavelet, "analytic_signal", counted)
-    config = dict(MIRROR_CONFIG, grid=dict(MIRROR_CONFIG["grid"], t=t))
-    arguments = []
-    for point in grid_points(config):
+    # the distinct non-singular arguments of each block of the grid writer
+    blocks = []
+    for row, point in enumerate(grid_points(config)):
+        if row % _BLOCK == 0:
+            blocks.append([])
         dist = _radial_distance(point[:3], config["extent"][:3])
         if not dist.near_circle:
-            arguments.append((repr(dist.p), repr(dist.q), repr(point[3])))
+            # repr tells -0.0 from 0.0, as the CSV does
+            blocks[-1].append((repr(dist.p), repr(dist.q), repr(point[3])))
     code, _ = run_cli(tmp_path, "wavelet", config)
     assert code == 0
-    # repr tells -0.0 from 0.0, as the CSV does
-    assert len(calls) == len(set(arguments)) < len(arguments)
+    distinct = sum(len(set(arguments)) for arguments in blocks)
+    assert len(calls) == distinct < sum(map(len, blocks))
 
 
-def test_wavelet_abort_past_a_memo_clear_names_its_row(tmp_path, capsys):
+def test_wavelet_abort_in_a_later_block_names_its_row(tmp_path, capsys):
     # At the scale 1e-160 only the origin (x3 = 0 with x1 = x2 = 0, row 7499) overflows;
-    # the 4,499 distinct field arguments before it clear the memo once.
+    # it lies in the second block of the grid writer.
     config = {
         "extent": [0.0, 0.0, 1e-160, 3e-160],
         "grid": {

@@ -396,6 +396,16 @@ def test_sampled_csv_round_trip(tmp_path):
         SampledSignal.from_csv(not_ascending)
 
 
+@pytest.mark.parametrize("text", ["0.0,1.0\n2.0,3.0\n", "time,value\n0.0,1.0\n2.0,3.0\n"])
+def test_sampled_csv_with_a_byte_order_mark_keeps_every_sample(tmp_path, text):
+    # a BOM before "0.0" used to make the first sample read as a header row
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    sig = SampledSignal.from_csv(path)
+    assert sig.times == (0.0, 2.0)
+    assert sig.values == (1.0, 3.0)
+
+
 # ---------------------------------------------------------------------------
 # boundary jumps on the time axis
 # ---------------------------------------------------------------------------

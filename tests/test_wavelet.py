@@ -16,6 +16,7 @@ from pulsebeam import (
     SampledSignal,
     SingularityProximityError,
     StencilPlacementError,
+    ValidationError,
     boundary_jump,
     extended_propagator,
     wave_residual,
@@ -84,6 +85,19 @@ def test_wavelet_with_temporal_extension_only():
     assert value == pytest.approx(expected, rel=1e-14)
     with pytest.raises(SingularityProximityError):
         wavelet_eval(signal, RealEvent((0, 0, 0), 1.0), ConeVector((0, 0, 0), 0.7))
+
+
+def test_temporal_extension_guard_radius_acts_around_the_origin():
+    from pulsebeam.wavelet import _radial_distance
+
+    zero = (0.0, 0.0, 0.0)
+    assert _radial_distance((0.5, 0.0, 0.0), zero, 0.6).near_circle
+    assert not _radial_distance((1.0, 0.0, 0.0), zero, 0.6).near_circle
+    # the origin is singular whatever the guard, and the default guard is 0
+    assert _radial_distance(zero, zero, 0.0).near_circle
+    assert not _radial_distance((1e-300, 0.0, 0.0), zero).near_circle
+    with pytest.raises(ValidationError):
+        _radial_distance((1.0, 0.0, 0.0), zero, -1.0)
 
 
 def test_wavelet_linear_in_the_signal():
