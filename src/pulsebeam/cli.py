@@ -146,6 +146,8 @@ def _axis(name: str, spec) -> Tuple[int, Callable[[], np.ndarray]]:
 def _check_cap(config: dict, total: int, what: str) -> None:
     """Refuse more than max_points samples; callers check before building any."""
     cap = _number(config.get("max_points", DEFAULT_POINT_CAP), "max_points", integer=True)
+    if cap < 1:
+        raise ValidationError(f"'max_points' must be >= 1, got {cap}")
     if total > cap:
         raise ValidationError(
             f"{what} has {total} points, exceeding the cap of {cap}; "
@@ -479,6 +481,8 @@ def _load_config(path: str):
         raise ValidationError(f"config file {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config file {path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ValidationError(f"config file {path} nests too deeply to parse") from None
 
 
 # name: (runner, required root fields, optional root fields); main also reads "out"

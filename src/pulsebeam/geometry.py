@@ -27,13 +27,16 @@ array they return equals, bit for bit, what `_axis_frame` and
 `_distance` with the same guard tolerance (and `spheroidal_coords` for
 rho) give for row k, and they raise the scalar path's errors.  The
 kernel therefore repeats the scalar operations in the scalar order:
-`math.hypot` for the lengths (nested `np.hypot` rounds differently), the
-dot product summed left to right, the complex square built from its
-real and imaginary parts (complex multiplication rounds differently),
-and `_sqrt_block`, CPython's `cmath.sqrt` transcribed to arrays (the C
+`_hypot_rows`, CPython 3.11's `math.hypot` transcribed to arrays, for
+the lengths (nested `np.hypot` rounds differently), the dot product
+summed left to right, the complex square built from its real and
+imaginary parts (complex multiplication rounds differently), and
+`_sqrt_block`, CPython's `cmath.sqrt` transcribed to arrays (the C
 library's `csqrt` behind `np.sqrt` rounds the imaginary part
-differently, for instance at r = a exactly).  The scalar `complex_distance` stays the public API and is the
-kernel's oracle in the tests.
+differently, for instance at r = a exactly).  The scalar
+`complex_distance` stays the public API and is the kernel's oracle in
+the tests, and `math.hypot` is `_hypot_rows`' oracle: an interpreter
+whose `hypot` rounds differently fails those tests.
 """
 
 from __future__ import annotations
@@ -58,6 +61,12 @@ from .spacetime import as_scalar, as_vec3, dot3, norm3
 # Guard radius around the branch circle, relative to the extension radius.
 # The fields diverge like 1/|p - iq| there; callers get a flag, not a NaN.
 NEAR_CIRCLE_REL_TOL = 1e-9
+
+# `_hypot_rows`: the Veltkamp splitter 2**27 + 1, and the largest part below
+# which a row goes through math.hypot itself (near 2**-1024 the scale 2**-e
+# overflows, and CPython rescales by the smallest normal float first).
+_VELTKAMP = 134217729.0
+_HYPOT_SMALL = 2.0**-1000
 
 # Rows per block-kernel call, in the acceptance checks and the CLI grids:
 # large enough to amortise the call, small enough that the temporaries
@@ -152,8 +161,65 @@ def _distance(a: float, r: float, x3: float, near_circle_tol: float) -> ComplexD
 
 
 def _norm_rows(v: np.ndarray) -> np.ndarray:
-    """`norm3` of every row of an (n, 3) array; numpy's nested hypot differs in the last bit."""
-    return np.fromiter(map(math.hypot, *v.T.tolist()), float, len(v))
+    """`norm3` of every row of an (n, 3) array, bit for bit.
+
+    `norm3` is `math.hypot`, so this is `_hypot_rows`, CPython 3.11's
+    hypot transcribed to arrays; numpy's nested `np.hypot` differs in the
+    last bit.
+    """
+    return _hypot_rows(v[:, 0], v[:, 1], v[:, 2])
+
+
+def _hypot_rows(*columns: np.ndarray) -> np.ndarray:
+    """math.hypot(*row) for every row of equal-length 1-d arrays, bit for bit.
+
+    CPython 3.11's `vector_norm` (Modules/mathmodule.c) transcribed to
+    arrays: the parts are scaled by 2**-e, e the frexp exponent of the
+    largest; each is split at 2**27 + 1 (Veltkamp) so that its square is
+    the exact sum hi*hi + 2*hi*lo + lo*lo; the squares are added to 1.0
+    with Neumaier's compensation; and the root h of the sum gets one
+    differential correction from the exact residual of h*h.  Rows whose
+    largest part is 0, below 2**-1000 or not finite go through
+    `math.hypot` itself.
+    """
+    parts = [np.abs(column) for column in columns]
+    big = parts[0]
+    for part in parts[1:]:
+        big = np.maximum(big, part)
+    with np.errstate(all="ignore"):
+        scale = np.ldexp(1.0, -np.frexp(big)[1])
+        total = np.ones_like(big)
+        frac1, frac2, frac3 = (np.zeros_like(big) for _ in range(3))
+        for part in parts:
+            hi, lo = _split(part * scale)
+            total = _add(total, hi * hi, frac1)
+            total = _add(total, 2.0 * hi * lo, frac2)
+            frac3 += lo * lo
+        h = np.sqrt(total - 1.0 + (frac1 + frac2 + frac3))
+        hi, lo = _split(h)
+        total = _add(total, -hi * hi, frac1)
+        total = _add(total, -2.0 * hi * lo, frac2)
+        total = _add(total, -lo * lo, frac3)
+        out = (h + (total - 1.0 + (frac1 + frac2 + frac3)) / (2.0 * h)) / scale
+    rare = np.flatnonzero(~((big >= _HYPOT_SMALL) & (big < math.inf)))
+    if len(rare):
+        rows = zip(*(column[rare].tolist() for column in columns))
+        out[rare] = [math.hypot(*row) for row in rows]
+    return out
+
+
+def _split(x: np.ndarray):
+    """Veltkamp's split x = hi + lo into halves whose products are exact (barring underflow)."""
+    t = x * _VELTKAMP
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+def _add(total: np.ndarray, term: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """total + term, its rounding error added to frac in place (Neumaier)."""
+    new = total + term
+    np.add(frac, (total - new) + term, out=frac)
+    return new
 
 
 def _dot_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -183,7 +249,6 @@ def _distance_block(x: np.ndarray, y: np.ndarray, near_circle_tol: float | None 
         if bad.any():
             k = int(np.argmax(bad))
             raise ValidationError(f"{what} components must be finite, got row {k}: {block[k]}")
-    n = len(x)
     a = _norm_rows(y)
     if not a.all():
         raise DegenerateExtensionError(_ZERO_EXTENSION)
@@ -195,7 +260,7 @@ def _distance_block(x: np.ndarray, y: np.ndarray, near_circle_tol: float | None 
         on_cut = (x3 == 0.0) & (r < a)
         p[on_cut] = 0.0
         q[on_cut] = np.sqrt(a[on_cut] * a[on_cut] - r[on_cut] * r[on_cut])
-    magnitude = np.fromiter(map(math.hypot, p.tolist(), q.tolist()), float, n)
+    magnitude = _hypot_rows(p, q)
     overflow = ~(magnitude < math.inf)
     if overflow.any():
         k = int(np.argmax(overflow))
@@ -220,11 +285,12 @@ def _sqrt_block(re: np.ndarray, im: np.ndarray):
     """
     ax = np.abs(re)
     ay = np.abs(im)
-    tiny = (ax < sys.float_info.min) & (ay < sys.float_info.min)
-    up = np.ldexp(ax, 53)
-    scaled = np.ldexp(np.sqrt(up + np.hypot(up, np.ldexp(ay, 53))), -27)
     ax8 = ax / 8.0
-    s = np.where(tiny, scaled, 2.0 * np.sqrt(ax8 + np.hypot(ax8, ay / 8.0)))
+    s = 2.0 * np.sqrt(ax8 + np.hypot(ax8, ay / 8.0))
+    tiny = np.flatnonzero((ax < sys.float_info.min) & (ay < sys.float_info.min))
+    if len(tiny):
+        up = np.ldexp(ax[tiny], 53)
+        s[tiny] = np.ldexp(np.sqrt(up + np.hypot(up, np.ldexp(ay[tiny], 53))), -27)
     d = ay / (2.0 * s)
     right = re >= 0.0
     real = np.where(right, s, d)

@@ -260,9 +260,12 @@ class SampledSignal(DrivingSignal):
         """
         try:
             with open(path, newline="", encoding="utf-8-sig") as handle:
-                rows = list(csv.reader(handle))
+                reader = csv.reader(handle)
+                rows = list(reader)
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
+        except csv.Error as exc:  # a field over csv.field_size_limit(), say
+            raise ValidationError(f"{path}: line {reader.line_num} is not CSV: {exc}") from None
         times, values = [], []
         for row_index, row in enumerate(rows):
             if not row:
@@ -591,12 +594,18 @@ def richardson_limit(eps_list: Sequence[float], values: Sequence[complex]):
     Neville's scheme on the nodes eps_list, evaluated at zero; on a
     geometric ladder this is the classic repeated two-term elimination of
     the leading O(eps) error.  Returns (limit, error_estimate) where the
-    estimate is the difference of the last two extrapolation stages.
+    estimate is the difference of the last two extrapolation stages.  An
+    empty ladder, or one with a non-finite or repeated eps, is a
+    ValidationError.
     """
     eps = [float(e) for e in eps_list]
     table = [complex(v) for v in values]
     if len(eps) != len(table):
         raise ValidationError("epsilon ladder and sample list must have equal length")
+    if not eps:
+        raise ValidationError("epsilon ladder must not be empty")
+    if not all(map(math.isfinite, eps)) or len(set(eps)) < len(eps):
+        raise ValidationError(f"epsilon ladder must hold distinct finite values, got {eps}")
     n = len(table)
     best = table[0]
     prev = None

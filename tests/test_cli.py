@@ -187,6 +187,19 @@ EXTENT = [0.0, 0.0, 1.0, 2.0]
             "'max_points'",
             id="max-points-string",
         ),
+        pytest.param(
+            # a cap below 1 refuses every grid
+            "propagator",
+            {"extent": EXTENT, "max_points": 0, "grid": AXIS},
+            "'max_points' must be >= 1",
+            id="max-points-zero",
+        ),
+        pytest.param(
+            "pattern",
+            {"s": 2.0, "a": 1.0, "r": 100.0, "max_points": -1},
+            "'max_points' must be >= 1",
+            id="max-points-negative",
+        ),
         pytest.param("pattern", {"s": 2.0, "a": "one", "r": 100.0}, "'a'", id="pattern-a-string"),
         pytest.param(
             "wavelet",
@@ -820,12 +833,22 @@ def test_channel_summary_stays_strict_json_when_the_link_duration_underflows(tmp
     assert metrics["bandwidth"] == "inf"
 
 
-def test_invalid_config_is_a_validation_error(tmp_path):
+def test_invalid_config_is_a_validation_error(tmp_path, capsys):
     config_path = tmp_path / "broken.json"
     config_path.write_text("{not json")
     assert main(["pattern", "--config", str(config_path), "--out", str(tmp_path / "x.csv")]) == 1
     missing = tmp_path / "nope.json"
     assert main(["pattern", "--config", str(missing), "--out", str(tmp_path / "x.csv")]) == 1
+    capsys.readouterr()
+    # json's decoder recurses once per nesting level
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000)
+    for command in ("distance", "propagator", "wavelet"):
+        assert main([command, "--config", str(nested), "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert str(nested) in err and "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -895,6 +918,22 @@ def test_help_still_exits_0(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert "usage: pulsebeam" in capsys.readouterr().out
+
+
+def test_a_sampled_csv_field_over_the_csv_limit_is_a_validation_error(tmp_path, capsys):
+    wave = tmp_path / "signal.csv"
+    wave.write_text("0.0,0.0\n1.0," + "1" * 131_073 + "\n")
+    config = {
+        "extent": [0.0, 0.0, 1.0, 2.0],
+        "signal": {"type": "sampled", "path": str(wave)},
+        "grid": {"x3": 4.0, "t": 4.0},
+    }
+    code, out = run_cli(tmp_path, "wavelet", config)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert f"{wave}: line 2" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("where", ["config", "signal"])

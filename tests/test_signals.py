@@ -1,4 +1,5 @@
 import cmath
+import csv
 import json
 import math
 import os
@@ -396,6 +397,14 @@ def test_sampled_csv_round_trip(tmp_path):
         SampledSignal.from_csv(not_ascending)
 
 
+def test_sampled_csv_with_an_oversized_field_names_its_line(tmp_path):
+    # csv refuses a field over its limit (131,072 characters by default)
+    path = tmp_path / "long.csv"
+    path.write_text("time,value\n0.0,1.0\n1.0," + "1" * (csv.field_size_limit() + 1) + "\n")
+    with pytest.raises(ValidationError, match=r"long\.csv: line 3 is not CSV"):
+        SampledSignal.from_csv(path)
+
+
 @pytest.mark.parametrize("text", ["0.0,1.0\n2.0,3.0\n", "time,value\n0.0,1.0\n2.0,3.0\n"])
 def test_sampled_csv_with_a_byte_order_mark_keeps_every_sample(tmp_path, text):
     # a BOM before "0.0" used to make the first sample read as a header row
@@ -446,6 +455,17 @@ def test_richardson_limit_on_polynomial():
     limit, estimate = richardson_limit(eps, values)
     assert limit == pytest.approx(7.0, abs=1e-12)
     assert estimate < 1e-10
+
+
+@pytest.mark.parametrize(
+    "eps",
+    [(), (0.1, 0.1, 0.05), (0.1, 0.05, 0.1), (0.1, math.nan, 0.05), (0.1, math.inf), (0.0, -0.0)],
+    ids=["empty", "repeated-adjacent", "repeated-apart", "nan", "inf", "signed-zeros"],
+)
+def test_richardson_limit_refuses_a_bad_ladder(eps):
+    # Neville's scheme divides by every difference of two rungs and starts at rung 0
+    with pytest.raises(ValidationError, match="epsilon ladder"):
+        richardson_limit(eps, [1.0] * len(eps))
 
 
 # ---------------------------------------------------------------------------
