@@ -19,8 +19,10 @@ idealized point (null extension).
 The two formulas of the link algebra, the summed extension (`_summed`)
 and the move (`_moved`), are written once, on (x1, x2, x3, t) float
 tuples, with their cone tests and their errors.  `Channel` and
-`channel_translate` build their objects from them, and acceptance check
-6 calls them without building any object.
+`channel_translate` build their objects from them.  Acceptance check 6
+repeats their float operations and cone tests on arrays and evaluates
+the extended propagator on the result; `extended_propagator` on these
+objects is its oracle in the tests.
 
 Durations and bandwidths: each endpoint can handle pulses no shorter
 than lag - radius, and the link as a whole no shorter than s - a, which

@@ -32,19 +32,19 @@ blocks of `geometry._BLOCK` (4,096) points in row order, and each block
 formats only its own coordinates, so memory stays bounded whatever the
 grid size.  The first block is evaluated before the file is opened.
 Each subcommand has one evaluation function, which turns a block of
-points into its cell columns.  A block that it refuses (a root or a
-value that overflows a float) goes through the same function again one
-row at a time, so the first bad row aborts the grid, named by its index
-and point.  `distance` and `propagator` evaluate a block with the array
-kernels `geometry._distance_block` and `propagator._impulse_field_block`,
-which are bit-identical to the scalar functions; the propagator's first
-refused row is evaluated by the scalar `_impulse_field`, whose error text
-it raises.  `wavelet` takes the block's complex distances p - iq from
-`_distance_block` too (for a purely temporal extension, p = |x| and
-q = 0), and evaluates the field once per distinct bit pattern of
-(p, q, t) in the block: the field depends on a point only through them,
-so a grid slice through the extension axis repeats each argument at its
-mirror point.  Nothing is kept from one block to the next.  `pattern`
+points into its cell columns.  In a block that it refuses (a root or a
+value that overflows a float), bisection over slices of the block
+through the same function finds the first bad row, which aborts the
+grid, named by its index and point.  `distance` and `propagator`
+evaluate a block with the array kernels `geometry._distance_block` and
+`propagator._impulse_field_block`, which are bit-identical to the scalar
+functions; the propagator's first refused row is evaluated by the scalar
+`_impulse_field`, whose error text it raises.  `wavelet` takes the
+block's complex distances p - iq from `_distance_block` too (for a
+purely temporal extension, p = |x| and q = 0), and evaluates the field
+once per distinct bit pattern of (p, q, t) in the block: the field
+depends on a point only through them, so a grid slice through the
+extension axis repeats each argument at its mirror point.  Nothing is kept from one block to the next.  `pattern`
 and `channel` evaluate a block with `beam_profile` and `gain_scan`.
 
 Evaluation runs in one thread.  `--threads` is still accepted for
@@ -261,10 +261,13 @@ def _write_grid(
 
     The points go in blocks of `_BLOCK` rows, and the first block is
     evaluated before the file is opened.  evaluate(points) gets a block as
-    an (n, len(names)) array and returns its cell columns.  When it raises
-    an accuracy or float-overflow error, the rows of the block go through
-    evaluate again one at a time, and the first row that raises aborts the
-    grid with an AccuracyError naming its index and point.
+    an (n, len(names)) array and returns its cell columns; it raises on a
+    slice of rows exactly when one of them raises alone.  When it raises
+    an accuracy or float-overflow error, bisection finds the first row of
+    the block that raises (evaluate on the first half of the rows still
+    in question, then on the half that holds it), at most log2(_BLOCK)
+    calls, and one more call on that row alone aborts the grid with an
+    AccuracyError naming its index and point.
     """
     shape = tuple(map(len, axes))
     total = math.prod(shape)
@@ -286,16 +289,26 @@ def _write_grid(
         try:
             return zip(*coordinates, *evaluate(points))
         except (AccuracyError, ArithmeticError):
-            for k, point in enumerate(points.tolist()):
+            # rows [lo, hi) hold the first row that raises
+            lo, hi = 0, len(points)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
                 try:
-                    evaluate(points[k : k + 1])
-                except (AccuracyError, ArithmeticError) as exc:
-                    where = ", ".join(f"{name}={value!r}" for name, value in zip(names, point))
-                    raise AccuracyError(
-                        f"grid row {start + k} ({where}): {exc}",
-                        value=getattr(exc, "value", None),
-                        estimate=getattr(exc, "estimate", None),
-                    ) from exc
+                    evaluate(points[lo:mid])
+                except (AccuracyError, ArithmeticError):
+                    hi = mid
+                else:
+                    lo = mid
+            try:
+                evaluate(points[lo:hi])
+            except (AccuracyError, ArithmeticError) as exc:
+                point = zip(names, points[lo].tolist())
+                where = ", ".join(f"{name}={value!r}" for name, value in point)
+                raise AccuracyError(
+                    f"grid row {start + lo} ({where}): {exc}",
+                    value=getattr(exc, "value", None),
+                    estimate=getattr(exc, "estimate", None),
+                ) from exc
             raise
 
     def stream(first):
@@ -472,15 +485,27 @@ def _run_verify(only) -> int:
 
 
 def _load_config(path: str):
+    def unique(pairs):
+        # json keeps the last of a repeated key; a config that repeats one is ambiguous
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValidationError(f"config file {path} repeats the key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=unique)
     except OSError as exc:
         raise ValidationError(f"cannot read config file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ValidationError(f"config file {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config file {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        # int() refuses a literal over sys.get_int_max_str_digits() digits
+        raise ValidationError(f"config file {path} has a number too long to read: {exc}") from exc
     except RecursionError:
         raise ValidationError(f"config file {path} nests too deeply to parse") from None
 
@@ -520,9 +545,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None
+
+
 def main(argv=None) -> int:
+    global _parser
     try:
-        args = build_parser().parse_args(argv)
+        # built on the first call; parsing reads the parser and changes nothing in it
+        if _parser is None:
+            _parser = build_parser()
+        args = _parser.parse_args(argv)
         if args.command == "verify":
             return _run_verify(None if args.only is None else args.only.split(","))
         runner, required, optional = _RUNNERS[args.command]

@@ -236,18 +236,19 @@ def _distance_block(x: np.ndarray, y: np.ndarray, near_circle_tol: float | None 
     Returns the arrays (a, r, x3, p, q, on_cut, near_circle), each of
     length n and bit-identical row by row to the scalar path.  Raises
     that path's errors: ValidationError when an input is not finite
-    (naming its row), else DegenerateExtensionError for a zero row of y,
-    else AccuracyError for the first root whose magnitude is not finite.
-    Callers keep n bounded: every intermediate has length n.
+    (naming its first such row), else DegenerateExtensionError for a zero
+    row of y, else AccuracyError for the first root whose magnitude is
+    not finite.  Finiteness is one flat test per block; the row is looked
+    up only when it fails.  Callers keep n bounded: every intermediate has
+    length n.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 2 or x.shape[1] != 3 or x.shape != y.shape:
         raise ValidationError(f"blocks must both be (n, 3), got {x.shape} and {y.shape}")
     for block, what in ((x, "observation offset"), (y, "extension vector")):
-        bad = ~np.isfinite(block).all(axis=1)
-        if bad.any():
-            k = int(np.argmax(bad))
+        if not np.isfinite(block).all():
+            k = int(np.argmax(~np.isfinite(block).all(axis=1)))
             raise ValidationError(f"{what} components must be finite, got row {k}: {block[k]}")
     a = _norm_rows(y)
     if not a.all():

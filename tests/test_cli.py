@@ -21,7 +21,7 @@ CHANNEL_OBJ = {
 
 def run_cli(tmp_path, command, config, out_name="out.csv", extra=()):
     config_path = tmp_path / f"{command}.json"
-    config_path.write_text(json.dumps(config))
+    config_path.write_text(config if isinstance(config, str) else json.dumps(config))
     out_path = tmp_path / out_name
     code = main(
         [command, "--config", str(config_path), "--out", str(out_path), *extra]
@@ -377,6 +377,26 @@ EXTENT = [0.0, 0.0, 1.0, 2.0]
             "unknown fields ['recevier']",
             id="channel-unknown-side",
         ),
+        pytest.param(
+            # int() refuses a literal over 4,300 digits; this printed a traceback
+            "pattern",
+            '{"s": 2.0, "a": 1.0, "r": 3.0, "max_points": ' + "9" * 5_000 + "}",
+            "pattern.json",
+            id="max-points-5000-digits",
+        ),
+        pytest.param(
+            # json keeps the last of a repeated key: this ran with s = 3.0
+            "pattern",
+            '{"s": 2.0, "s": 3.0, "a": 1.0, "r": 3.0}',
+            "repeats the key 's'",
+            id="repeated-root-key",
+        ),
+        pytest.param(
+            "pattern",
+            '{"s": 2.0, "a": 1.0, "r": 3.0, "theta": {"min": 0.0, "max": 1.0, "max": 2.0}}',
+            "repeats the key 'max'",
+            id="repeated-nested-key",
+        ),
     ],
 )
 def test_malformed_config_values_are_one_line_errors(tmp_path, capsys, command, config, field):
@@ -707,6 +727,25 @@ def test_wavelet_abort_in_a_later_block_names_its_row(tmp_path, capsys):
     assert not list(tmp_path.glob(".pulsebeam-*.csv"))
 
 
+def test_a_refused_block_is_bisected_to_its_first_bad_row(tmp_path):
+    # rows 5,000 and 6,000 raise; both lie in the second block
+    calls = []
+
+    def evaluate(points):
+        calls.append(len(points))
+        if np.isin(points[:, 0], (5_000.0, 6_000.0)).any():
+            raise errors.AccuracyError("stand-in overflow")
+        return (["0"] * len(points),)
+
+    out = tmp_path / "out.csv"
+    with pytest.raises(errors.AccuracyError) as exc:
+        cli._write_grid(str(out), ("x",), (np.arange(10_000.0),), ("v",), evaluate)
+    assert str(exc.value) == "grid row 5000 (x=5000.0): stand-in overflow"
+    # after the first block: the refused block, its bisection, and the bad row alone
+    assert len(calls) - 1 <= math.log2(cli._BLOCK) + 2 and calls[-1] == 1
+    assert not out.exists() and not list(tmp_path.glob(".pulsebeam-*.csv"))
+
+
 def test_pattern_error_mid_stream_leaves_no_file(tmp_path, capsys):
     # s - a cos(theta) overflows from theta = 3 pi / 4 (row 3) on; rows 0-2 are finite
     theta = {"min": 0.0, "max": math.pi, "count": 5}
@@ -911,6 +950,19 @@ def test_each_package_error_exits_with_one_line(tmp_path, capsys, monkeypatch, e
     assert code == (2 if issubclass(error, errors.AccuracyError) else 1)
     assert len(err.splitlines()) == 1 and "stand-in failure" in err
     assert "Traceback" not in err
+
+
+def test_successive_main_calls_share_one_parser(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_parser", None)
+    assert main(["verify", "--only", "10"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "1/1 checks passed"
+    parser = cli._parser
+    config = {"s": 2.0, "a": 1.0, "r": 100.0, "theta": {"min": 0.0, "max": 1.0, "count": 3}}
+    # a refused flag value stays with its call
+    assert run_cli(tmp_path, "pattern", config, extra=("--threads", "0"))[0] == 1
+    code, out = run_cli(tmp_path, "pattern", config)
+    assert code == 0 and len(read_rows(out)[1]) == 3
+    assert cli._parser is parser
 
 
 def test_help_still_exits_0(capsys):

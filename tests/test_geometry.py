@@ -206,24 +206,32 @@ def test_hypot_rows_calls_math_hypot_only_for_rows_it_does_not_transcribe(monkey
 
 
 @pytest.mark.parametrize(
-    "bad,error",
+    "bad,error,message",
     [
-        (((1.4e154, 0.0, 0.0), (0.0, 0.0, 1.0)), AccuracyError),
-        (((1.0, 0.0, 0.0), (0.0, 0.0, 0.0)), DegenerateExtensionError),
-        (((math.nan, 0.0, 0.0), (0.0, 0.0, 1.0)), ValidationError),
-        (((1.0, 0.0, 0.0), (0.0, math.inf, 1.0)), ValidationError),
+        (((1.4e154, 0.0, 0.0), (0.0, 0.0, 1.0)), AccuracyError, None),
+        (((1.0, 0.0, 0.0), (0.0, 0.0, 0.0)), DegenerateExtensionError, None),
+        (
+            ((math.nan, 0.0, 0.0), (0.0, 0.0, 1.0)),
+            ValidationError,
+            "observation offset components must be finite, got row 1: [nan  0.  0.]",
+        ),
+        (
+            ((1.0, 0.0, 0.0), (0.0, math.inf, 1.0)),
+            ValidationError,
+            "extension vector components must be finite, got row 1: [ 0. inf  1.]",
+        ),
     ],
     ids=["overflow", "zero-extension", "nan-offset", "inf-extension"],
 )
-def test_distance_block_raises_the_scalar_errors(bad, error):
+def test_distance_block_raises_the_scalar_errors(bad, error, message):
     with pytest.raises(error) as scalar:
         complex_distance(*bad)
     good = ((0.3, 0.2, 0.1), (0.0, 0.0, 1.0))
-    x, y = zip(good, bad, good)
+    x, y = zip(good, bad, good, bad)
     with pytest.raises(error) as block:
         _distance_block(x, y)
-    if error is not ValidationError:  # the block names the row of a bad input
-        assert str(block.value) == str(scalar.value)
+    # the block names the first row of a bad input, and otherwise raises the scalar's text
+    assert str(block.value) == (message or str(scalar.value))
 
 
 def test_spheroidal_on_axis():
