@@ -44,8 +44,9 @@ block's complex distances p - iq from `_distance_block` too (for a
 purely temporal extension, p = |x| and q = 0), and evaluates the field
 once per distinct bit pattern of (p, q, t) in the block: the field
 depends on a point only through them, so a grid slice through the
-extension axis repeats each argument at its mirror point.  Nothing is kept from one block to the next.  `pattern`
-and `channel` evaluate a block with `beam_profile` and `gain_scan`.
+extension axis repeats each argument at its mirror point.  Nothing is
+kept from one block to the next.  `pattern` and `channel` evaluate a
+block with `beam_profile` and `gain_scan`.
 
 Evaluation runs in one thread.  `--threads` is still accepted for
 compatibility, as an integer >= 1; it does not change the output or the
@@ -75,7 +76,8 @@ from .channel import (
     gain_scan,
 )
 from .errors import AccuracyError, ValidationError
-from .geometry import _BLOCK, ComplexDistance, _distance_block, _norm_rows, _tolerance
+from ._rows import _norm_rows
+from .geometry import _BLOCK, ComplexDistance, _distance_block, _tolerance
 from .propagator import _impulse_field, _impulse_field_block, beam_profile
 from .signals import DeltaDerivative, DrivingSignal, GaussianPulse, SampledSignal
 from .spacetime import ConeVector, _fields, norm3

@@ -25,31 +25,23 @@ evaluates (n, 3) blocks of offsets and extensions in numpy, and
 `spheroidal_coords`.  Their contract is bit identity: row k of every
 array they return equals, bit for bit, what `_axis_frame` and
 `_distance` with the same guard tolerance (and `spheroidal_coords` for
-rho) give for row k, and they raise the scalar path's errors.  The
-kernel therefore repeats the scalar operations in the scalar order:
-`_hypot_rows`, CPython 3.11's `math.hypot` transcribed to arrays, for
-the lengths (nested `np.hypot` rounds differently), the dot product
-summed left to right, the complex square built from its real and
-imaginary parts (complex multiplication rounds differently), and
-`_sqrt_block`, CPython's `cmath.sqrt` transcribed to arrays (the C
-library's `csqrt` behind `np.sqrt` rounds the imaginary part
-differently, for instance at r = a exactly).  The scalar
-`complex_distance` stays the public API and is the kernel's oracle in
-the tests, and `math.hypot` is `_hypot_rows`' oracle: an interpreter
-whose `hypot` rounds differently fails those tests.
+rho) give for row k, and they raise the scalar path's errors.  They
+repeat the interpreter's `math.hypot`, dot product and `cmath.sqrt`
+through `_rows`, which holds the contract, and the scalar
+`complex_distance` is the kernel's oracle in the tests.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
+from ._rows import _dot_rows, _hypot_rows, _norm_rows, _sqrt_rows
 from .errors import (
     AccuracyError,
     DegenerateExtensionError,
@@ -61,12 +53,6 @@ from .spacetime import as_scalar, as_vec3, dot3, norm3
 # Guard radius around the branch circle, relative to the extension radius.
 # The fields diverge like 1/|p - iq| there; callers get a flag, not a NaN.
 NEAR_CIRCLE_REL_TOL = 1e-9
-
-# `_hypot_rows`: the Veltkamp splitter 2**27 + 1, and the largest part below
-# which a row goes through math.hypot itself (near 2**-1024 the scale 2**-e
-# overflows, and CPython rescales by the smallest normal float first).
-_VELTKAMP = 134217729.0
-_HYPOT_SMALL = 2.0**-1000
 
 # Rows per block-kernel call, in the acceptance checks and the CLI grids:
 # large enough to amortise the call, small enough that the temporaries
@@ -160,73 +146,6 @@ def _distance(a: float, r: float, x3: float, near_circle_tol: float) -> ComplexD
     return ComplexDistance(p, q, on_cut=on_cut, near_circle=near_circle)
 
 
-def _norm_rows(v: np.ndarray) -> np.ndarray:
-    """`norm3` of every row of an (n, 3) array, bit for bit.
-
-    `norm3` is `math.hypot`, so this is `_hypot_rows`, CPython 3.11's
-    hypot transcribed to arrays; numpy's nested `np.hypot` differs in the
-    last bit.
-    """
-    return _hypot_rows(v[:, 0], v[:, 1], v[:, 2])
-
-
-def _hypot_rows(*columns: np.ndarray) -> np.ndarray:
-    """math.hypot(*row) for every row of equal-length 1-d arrays, bit for bit.
-
-    CPython 3.11's `vector_norm` (Modules/mathmodule.c) transcribed to
-    arrays: the parts are scaled by 2**-e, e the frexp exponent of the
-    largest; each is split at 2**27 + 1 (Veltkamp) so that its square is
-    the exact sum hi*hi + 2*hi*lo + lo*lo; the squares are added to 1.0
-    with Neumaier's compensation; and the root h of the sum gets one
-    differential correction from the exact residual of h*h.  Rows whose
-    largest part is 0, below 2**-1000 or not finite go through
-    `math.hypot` itself.
-    """
-    parts = [np.abs(column) for column in columns]
-    big = parts[0]
-    for part in parts[1:]:
-        big = np.maximum(big, part)
-    with np.errstate(all="ignore"):
-        scale = np.ldexp(1.0, -np.frexp(big)[1])
-        total = np.ones_like(big)
-        frac1, frac2, frac3 = (np.zeros_like(big) for _ in range(3))
-        for part in parts:
-            hi, lo = _split(part * scale)
-            total = _add(total, hi * hi, frac1)
-            total = _add(total, 2.0 * hi * lo, frac2)
-            frac3 += lo * lo
-        h = np.sqrt(total - 1.0 + (frac1 + frac2 + frac3))
-        hi, lo = _split(h)
-        total = _add(total, -hi * hi, frac1)
-        total = _add(total, -2.0 * hi * lo, frac2)
-        total = _add(total, -lo * lo, frac3)
-        out = (h + (total - 1.0 + (frac1 + frac2 + frac3)) / (2.0 * h)) / scale
-    rare = np.flatnonzero(~((big >= _HYPOT_SMALL) & (big < math.inf)))
-    if len(rare):
-        rows = zip(*(column[rare].tolist() for column in columns))
-        out[rare] = [math.hypot(*row) for row in rows]
-    return out
-
-
-def _split(x: np.ndarray):
-    """Veltkamp's split x = hi + lo into halves whose products are exact (barring underflow)."""
-    t = x * _VELTKAMP
-    hi = t - (t - x)
-    return hi, x - hi
-
-
-def _add(total: np.ndarray, term: np.ndarray, frac: np.ndarray) -> np.ndarray:
-    """total + term, its rounding error added to frac in place (Neumaier)."""
-    new = total + term
-    np.add(frac, (total - new) + term, out=frac)
-    return new
-
-
-def _dot_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """dot3 of every row pair of two (n, 3) arrays, summed in dot3's order."""
-    return u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1] + u[:, 2] * v[:, 2]
-
-
 def _distance_block(x: np.ndarray, y: np.ndarray, near_circle_tol: float | None = None):
     """`_axis_frame` plus `_distance` on every row of (n, 3) blocks x and y.
 
@@ -256,7 +175,7 @@ def _distance_block(x: np.ndarray, y: np.ndarray, near_circle_tol: float | None 
     r = _norm_rows(x)
     x3 = _dot_rows(x, y) / a
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        p, root_imag = _sqrt_block(r * r - a * a, (-2.0 * a) * x3)
+        p, root_imag = _sqrt_rows(r * r - a * a, (-2.0 * a) * x3)
         q = -root_imag
         on_cut = (x3 == 0.0) & (r < a)
         p[on_cut] = 0.0
@@ -272,34 +191,6 @@ def _distance_block(x: np.ndarray, y: np.ndarray, near_circle_tol: float | None 
     tol = NEAR_CIRCLE_REL_TOL * a if near_circle_tol is None else near_circle_tol
     near_circle = (magnitude < tol) | (magnitude == 0.0)
     return a, r, x3, p, q, on_cut, near_circle
-
-
-def _sqrt_block(re: np.ndarray, im: np.ndarray):
-    """Real and imaginary parts of cmath.sqrt(complex(re, im)) on every row, bit for bit.
-
-    CPython's algorithm: s = 2 sqrt(|re|/8 + hypot(|re|/8, |im|/8)), or a
-    rescaled form when both parts are below the smallest normal float,
-    and d = |im|/(2 s); the root is (s, d) for re >= 0 and (d, s)
-    otherwise, its imaginary part signed like im, and (0, im) when both
-    parts are 0.  `np.hypot` is the C library's hypot, as in cmath.
-    Non-finite rows are left to the caller.
-    """
-    ax = np.abs(re)
-    ay = np.abs(im)
-    ax8 = ax / 8.0
-    s = 2.0 * np.sqrt(ax8 + np.hypot(ax8, ay / 8.0))
-    tiny = np.flatnonzero((ax < sys.float_info.min) & (ay < sys.float_info.min))
-    if len(tiny):
-        up = np.ldexp(ax[tiny], 53)
-        s[tiny] = np.ldexp(np.sqrt(up + np.hypot(up, np.ldexp(ay[tiny], 53))), -27)
-    d = ay / (2.0 * s)
-    right = re >= 0.0
-    real = np.where(right, s, d)
-    imag = np.copysign(np.where(right, d, s), im)
-    origin = (re == 0.0) & (im == 0.0)
-    real[origin] = 0.0
-    imag[origin] = im[origin]
-    return real, imag
 
 
 def _rho_block(x: np.ndarray, y: np.ndarray, a: np.ndarray, r: np.ndarray) -> np.ndarray:

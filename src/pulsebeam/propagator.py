@@ -21,13 +21,11 @@ s)` evaluates the field on arrays of roots p - iq and times t, for the
 CLI grids.  Its contract is bit identity: on every row that it does not
 flag, its real part, imaginary part and magnitude equal, bit for bit,
 those of `_impulse_field` and `abs` on the same row, and it flags exactly
-the rows where `_impulse_field` raises AccuracyError.  It therefore
-repeats CPython's complex arithmetic in CPython's order: the products of
-((8i pi) pi) rt (tau - rt) in explicit real arithmetic (numpy's complex
-multiplication rounds differently), the reciprocal by `_Py_c_quot`'s
-Smith-style division (numpy's complex division rounds differently), and
-the magnitude by `np.hypot`, the C library's hypot that `abs` calls.  The
-scalar `_impulse_field` stays the kernel's oracle in the tests.
+the rows where `_impulse_field` raises AccuracyError.  It takes the
+interpreter's complex product and quotient from `_rows`, which holds the
+contract, and the magnitude from `np.hypot`, the C library's hypot that
+`abs` calls; the scalar `_impulse_field` is the kernel's oracle in the
+tests.
 """
 
 from __future__ import annotations
@@ -39,6 +37,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from ._rows import _product_rows, _quot_rows
 from .errors import AccuracyError, CausalityError, SingularityProximityError, ValidationError
 from .geometry import ComplexDistance, complex_distance
 from .spacetime import as_scalar, as_vec3, norm3
@@ -74,11 +73,6 @@ def _impulse_field(dist: ComplexDistance, t: float, s: float) -> complex:
     return _reciprocal(_EIGHT_I_PI_SQ * rt * (tau - rt), "propagator")
 
 
-def _product_block(ar, ai, br, bi):
-    """CPython's complex product (ar + i ai)(br + i bi): (ar br - ai bi, ar bi + ai br)."""
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
 def _impulse_field_block(p: np.ndarray, q: np.ndarray, t: np.ndarray, s):
     """`_impulse_field` and its magnitude on every row of the roots p - iq and times t.
 
@@ -89,14 +83,9 @@ def _impulse_field_block(p: np.ndarray, q: np.ndarray, t: np.ndarray, s):
     caller's, as is the check s > a.
     """
     with np.errstate(all="ignore"):
-        krt_re, krt_im = _product_block(_EIGHT_I_PI_SQ.real, _EIGHT_I_PI_SQ.imag, p, -q)
-        den_re, den_im = _product_block(krt_re, krt_im, t - p, -s - -q)
-        # _Py_c_quot(1 + 0i, den): divide through by the larger part of den
-        by_re = np.abs(den_re) >= np.abs(den_im)
-        ratio = np.where(by_re, den_im / den_re, den_re / den_im)
-        scale = np.where(by_re, den_re + den_im * ratio, den_re * ratio + den_im)
-        re = np.where(by_re, 1.0 + 0.0 * ratio, 1.0 * ratio + 0.0) / scale
-        im = np.where(by_re, 0.0 - 1.0 * ratio, 0.0 * ratio - 1.0) / scale
+        krt_re, krt_im = _product_rows(_EIGHT_I_PI_SQ.real, _EIGHT_I_PI_SQ.imag, p, -q)
+        den_re, den_im = _product_rows(krt_re, krt_im, t - p, -s - -q)
+        re, im = _quot_rows(1.0, 0.0, den_re, den_im)
         magnitude = np.hypot(re, im)
     bad = ((den_re == 0.0) & (den_im == 0.0)) | ~np.isfinite(re) | ~np.isfinite(im)
     return re, im, magnitude, bad

@@ -17,7 +17,9 @@ evaluate their points through the block kernel `geometry._distance_block`
 (and `_rho_block` for check 3), in slices of `_BLOCK` rows so that memory
 stays bounded, keeping running maxima.  The kernel is bit-identical to the
 scalar `complex_distance` and `spheroidal_coords`, which stay its oracle
-in the tests.
+in the tests.  The row lengths and dot products that the checks take
+themselves come from `_rows`, the interpreter's `math.hypot` and `dot3`
+on arrays, as the kernel's do.
 
 Checks 6 and 7 run on flat arrays, not on `Channel`, `ConeVector` or
 `RealEvent` objects: `_link_durations` does the operations of
@@ -48,7 +50,8 @@ import numpy as np
 
 from .channel import gain_scan
 from .errors import ValidationError
-from .geometry import _BLOCK, _distance_block, _dot_rows, _norm_rows, _rho_block
+from ._rows import _dot_rows, _norm_rows
+from .geometry import _BLOCK, _distance_block, _rho_block
 from .propagator import (
     _EIGHT_PI_SQ,
     _impulse_field_block,

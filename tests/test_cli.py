@@ -449,6 +449,20 @@ def test_impulse_overflow_is_an_accuracy_error(tmp_path, capsys, command, config
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ("distance", "propagator"))
+def test_overflowing_dot_product_ends_in_one_line_without_a_warning(tmp_path, capsys, command):
+    # x . y = 1e400 overflows in the block kernel; numpy's RuntimeWarning stays inside it
+    grid = {"x1": {"min": 1e200, "max": 2e200, "count": 3}}
+    if command == "propagator":
+        grid["t"] = 0.0
+    code, out = run_cli(tmp_path, command, {"extent": [1e200, 0.0, 0.0, 2e200], "grid": grid})
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("accuracy error: grid row 0") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_grid_abort_names_the_point_and_leaves_no_file(tmp_path, capsys):
     code, out = run_cli(tmp_path, "wavelet", ORIGIN_CONFIG)
     err = capsys.readouterr().err

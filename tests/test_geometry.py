@@ -16,11 +16,9 @@ from pulsebeam import (
     far_zone_distance,
     spheroidal_coords,
 )
-from pulsebeam import geometry
 from pulsebeam.geometry import (
     _axis_frame,
     _distance_block,
-    _hypot_rows,
     _rho_block,
     segment_crosses_cut,
 )
@@ -157,52 +155,6 @@ def test_distance_block_matches_the_scalar_oracle_bitwise():
         near_circle = _distance_block(x[rows], y[rows], tol)[6]
         want = [complex_distance(x[k], y[k], near_circle_tol=tol).near_circle for k in rows]
         assert np.array_equal(near_circle, want)
-
-
-@pytest.mark.parametrize("width", (2, 3))
-def test_hypot_rows_matches_math_hypot_bitwise(width):
-    rng = np.random.default_rng(20261020 + width)
-    n = 100_000
-    # half the rows share one scale, half scale each part alone, from the
-    # subnormals to near overflow, so parts often differ by hundreds of
-    # binades and rows run through both the array and the math.hypot route
-    rows = rng.normal(size=(n, width)) * 10.0 ** rng.uniform(-320.0, 300.0, size=(n, 1))
-    rows[n // 2 :] = rng.normal(size=(n // 2, width)) * 10.0 ** rng.uniform(
-        -320.0, 300.0, size=(n // 2, width)
-    )
-    specials = [0.0, -0.0, 5e-324, 1.5e-323, 2.0**-1022, 2.0**-1000, 2.0**-1001]
-    specials += [1e300, 1.7e308, math.inf, -math.inf, math.nan]
-    hit = rng.random(size=rows.shape) < 0.02
-    rows[hit] = rng.choice(specials, size=hit.sum())
-    got = _hypot_rows(*rows.T)
-    want = np.array([math.hypot(*row) for row in rows.tolist()])
-    # int64 views: -0.0 and 0.0 differ, and so would any two NaNs
-    mismatched = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
-    assert mismatched.size == 0, f"rows {rows[mismatched[:5]]} differ from math.hypot"
-    big = np.abs(rows).max(axis=1)
-    assert (big < 2.0**-1000).sum() > 1000 and (big > 1e300).sum() > 100
-    assert np.isinf(got).sum() > 100 and np.isnan(got).sum() > 100
-
-
-def test_hypot_rows_calls_math_hypot_only_for_rows_it_does_not_transcribe(monkeypatch):
-    calls = []
-    real = math.hypot
-
-    def hypot(*row):
-        calls.append(row)
-        return real(*row)
-
-    monkeypatch.setattr(geometry.math, "hypot", hypot)
-    rng = np.random.default_rng(5)
-    # every row finite with its largest part above 2**-1000: no call
-    x = rng.normal(size=(5_000, 3)) * 10.0 ** rng.uniform(-150.0, 150.0, size=(5_000, 1))
-    _distance_block(x, rng.normal(size=(5_000, 3)))
-    _hypot_rows(*x.T)
-    assert calls == []
-    # zero, below 2**-1000, not finite
-    rare = [(0.0, -0.0, 0.0), (1e-310, 0.0, 2e-305), (math.inf, 1.0, math.nan), (math.nan, 1, 0)]
-    _hypot_rows(*np.array([(1.0, 2.0, 3.0), *rare]).T)
-    assert len(calls) == len(rare) and calls[:2] == rare[:2]
 
 
 @pytest.mark.parametrize(

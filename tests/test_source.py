@@ -209,3 +209,16 @@ def test_no_environment_reads(path):
     # settings come from the config file and the flags, not from hidden variables
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _environment_reads(tree) == []
+
+
+def test_rows_imports_no_pulsebeam_module():
+    # the interpreter's arithmetic sits below every layer, so any module of
+    # the package can import it without a cycle
+    tree = ast.parse((PACKAGE / "_rows.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert sorted(imported) == ["__future__", "math", "numpy", "sys"]
