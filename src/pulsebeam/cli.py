@@ -27,10 +27,13 @@ flag; a value that overflows a float is an accuracy error, never a NaN
 or inf.
 
 Every subcommand writes through one grid writer; `pattern` and `channel`
-are grids over the one axis theta.  Grids are evaluated and written in
-blocks of `geometry._BLOCK` (4,096) points in row order, and each block
-formats only its own coordinates, so memory stays bounded whatever the
-grid size.  The first block is evaluated before the file is opened.
+are grids over the one axis theta.  Grids are evaluated in blocks of
+`geometry._BLOCK` (4,096) points in row order, and each block is written
+as one string as soon as it is computed.  An axis of at most a block's
+length is formatted once, before the first block; a longer one is
+formatted in each block, only where the block reaches, so memory stays
+bounded whatever the grid size.  The first block is evaluated before the
+file is opened.
 Each subcommand has one evaluation function, which turns a block of
 points into its cell columns.  In a block that it refuses (a root or a
 value that overflows a float), bisection over slices of the block
@@ -224,19 +227,20 @@ def format_float(value: float) -> str:
     return repr(value)
 
 
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+def write_csv(path: str, header: Sequence[str], chunks: Iterable[str]) -> None:
     """Write atomically: temp file in the target directory, then rename.
 
-    rows may be a generator; if it raises, the temp file is removed and
-    nothing appears at path.
+    chunks is the text after the header row, one string per block of
+    whole rows, each row ending in a newline.  It may be a generator; if
+    it raises, the temp file is removed and nothing appears at path.
     """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(prefix=".pulsebeam-", suffix=".csv", dir=directory)
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
             handle.write(",".join(header) + "\n")
-            for row in rows:
-                handle.write(",".join(row) + "\n")
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp_path, path)
     except BaseException:
         try:
@@ -261,35 +265,45 @@ def _write_grid(
 ) -> None:
     """Stream one row per grid point, row-major over `axes`: its coordinates, then its cells.
 
-    The points go in blocks of `_BLOCK` rows, and the first block is
-    evaluated before the file is opened.  evaluate(points) gets a block as
-    an (n, len(names)) array and returns its cell columns; it raises on a
-    slice of rows exactly when one of them raises alone.  When it raises
-    an accuracy or float-overflow error, bisection finds the first row of
-    the block that raises (evaluate on the first half of the rows still
-    in question, then on the half that holds it), at most log2(_BLOCK)
-    calls, and one more call on that row alone aborts the grid with an
-    AccuracyError naming its index and point.
+    The points go in blocks of `_BLOCK` rows, each written as one string,
+    and the first block is evaluated before the file is opened.  An axis
+    of at most `_BLOCK` values is formatted once, before the first block;
+    a longer one, in each block, only where the block reaches.
+    evaluate(points) gets a block as an (n, len(names)) array and returns
+    its cell columns; it raises on a slice of rows exactly when one of
+    them raises alone.  When it raises an accuracy or float-overflow
+    error, bisection finds the first row of the block that raises
+    (evaluate on the first half of the rows still in question, then on
+    the half that holds it), at most log2(_BLOCK) calls, and one more call
+    on that row alone aborts the grid with an AccuracyError naming its
+    index and point.
     """
     shape = tuple(map(len, axes))
     total = math.prod(shape)
     strides = [math.prod(shape[k + 1 :]) for k in range(len(shape))]
+    formatted = [
+        np.array(_cells(axis), dtype=object) if len(axis) <= _BLOCK else None for axis in axes
+    ]
 
     def block(start):
         rows = np.arange(start, min(start + _BLOCK, total))
         points, coordinates = [], []
-        for axis, stride in zip(axes, strides):
-            # the block's steps along this axis, counted across its wraps: it
-            # formats each of its distinct coordinates once, at most _BLOCK + 1
+        for axis, stride, whole in zip(axes, strides, formatted):
             steps = rows // stride
-            lo = int(steps[0])
-            count = min(int(steps[-1]) - lo + 1, len(axis))
-            texts = np.array(_cells(axis[np.arange(lo, lo + count) % len(axis)]), dtype=object)
-            points.append(axis[steps % len(axis)])
-            coordinates.append(texts[(steps - lo) % count].tolist())
+            index = steps % len(axis)
+            points.append(axis[index])
+            if whole is not None:
+                coordinates.append(whole[index].tolist())
+            else:
+                # a long axis: the block's steps along it, counted across its wraps,
+                # format each of its distinct coordinates once, at most _BLOCK + 1
+                lo = int(steps[0])
+                count = min(int(steps[-1]) - lo + 1, len(axis))
+                local = np.array(_cells(axis[np.arange(lo, lo + count) % len(axis)]), dtype=object)
+                coordinates.append(local[(steps - lo) % count].tolist())
         points = np.column_stack(points)
         try:
-            return zip(*coordinates, *evaluate(points))
+            cells = evaluate(points)
         except (AccuracyError, ArithmeticError):
             # rows [lo, hi) hold the first row that raises
             lo, hi = 0, len(points)
@@ -312,11 +326,12 @@ def _write_grid(
                     estimate=getattr(exc, "estimate", None),
                 ) from exc
             raise
+        return "\n".join(map(",".join, zip(*coordinates, *cells))) + "\n"
 
     def stream(first):
-        yield from first
+        yield first
         for start in range(_BLOCK, total, _BLOCK):
-            yield from block(start)
+            yield block(start)
 
     write_csv(out, names + columns, stream(block(0)))
 
@@ -330,17 +345,28 @@ def _cells(values: np.ndarray, blank: np.ndarray | None = None) -> list:
     return cells
 
 
+# status cells, indexed by on_cut + 2 * guarded: a guarded point is flagged on the cut too
+_STATUS = {
+    guard: np.array(("ok", "on_cut", guard, guard), dtype=object)
+    for guard in ("on_circle", "singular")
+}
+
+
+def _status(on_cut: np.ndarray, guarded: np.ndarray, guard: str) -> list:
+    """The status cell of every row: `guard` where guarded, else on_cut or ok."""
+    return _STATUS[guard][on_cut + 2 * guarded].tolist()
+
+
 def _run_distance(config: dict, out: str) -> None:
     extent = extent_from_config(config)
     if extent.radius == 0.0:
         raise ValidationError("distance maps need a nonzero spatial extension")
+    extension = np.array([extent.space])
     tol = _near_circle_tol(config)
 
     def evaluate(points):
-        extension = np.broadcast_to(extent.space, points.shape)
         _, _, _, p, q, on_cut, near_circle = _distance_block(points, extension, tol)
-        status = np.where(near_circle, "on_circle", np.where(on_cut, "on_cut", "ok"))
-        return _cells(p), _cells(q), status.tolist()
+        return _cells(p), _cells(q), _status(on_cut, near_circle, "on_circle")
 
     names = ("x1", "x2", "x3")
     _write_grid(out, names, grid_from_config(config, names), ("p", "q", "status"), evaluate)
@@ -352,11 +378,11 @@ def _run_propagator(config: dict, out: str) -> None:
         raise ValidationError(
             "propagator maps need an interior extension with nonzero spatial part"
         )
+    extension = np.array([extent.space])
     tol = _near_circle_tol(config)
 
     def evaluate(points):
         space, t = points[:, :3], points[:, 3]
-        extension = np.broadcast_to(extent.space, space.shape)
         _, _, _, p, q, on_cut, singular = _distance_block(space, extension, tol)
         re, im, magnitude, bad = _impulse_field_block(p, q, t, extent.time)
         refused = (bad | ~np.isfinite(magnitude)) & ~singular
@@ -365,8 +391,8 @@ def _run_propagator(config: dict, out: str) -> None:
             dist = ComplexDistance(float(p[k]), float(q[k]))
             # the first refused row raises: a bad row in _impulse_field, an overflow in abs
             abs(_impulse_field(dist, float(t[k]), extent.time))
-        status = np.where(singular, "singular", np.where(on_cut, "on_cut", "ok"))
-        return (*(_cells(col, singular) for col in (re, im, magnitude)), status.tolist())
+        cells = (_cells(col, singular) for col in (re, im, magnitude))
+        return (*cells, _status(on_cut, singular, "singular"))
 
     _write_grid(out, GRID_AXES, grid_from_config(config, GRID_AXES), FIELD_COLUMNS, evaluate)
 
@@ -376,6 +402,7 @@ def _run_wavelet(config: dict, out: str) -> None:
     if not extent.is_interior:
         raise ValidationError("wavelet maps need an interior extension")
     signal = signal_from_config(config.get("signal", {"type": "delta"}))
+    extension = np.array([extent.space])
     tol = _near_circle_tol(config)
 
     def evaluate(points):
@@ -387,7 +414,6 @@ def _run_wavelet(config: dict, out: str) -> None:
             on_cut = np.zeros(len(p), dtype=bool)
             singular = (p < (0.0 if tol is None else tol)) | (p == 0.0)
         else:
-            extension = np.broadcast_to(extent.space, space.shape)
             _, _, _, p, q, on_cut, singular = _distance_block(space, extension, tol)
         ok = ~singular
         # one field per distinct bit pattern of (p, q, t), so -0.0 and 0.0 stay apart
@@ -401,8 +427,7 @@ def _run_wavelet(config: dict, out: str) -> None:
             values[k] = list(map(format_float, (field.real, field.imag, abs(field))))
         cells = np.full((len(p), 3), "", dtype=object)
         cells[ok] = values[inverse]
-        status = np.where(singular, "singular", np.where(on_cut, "on_cut", "ok"))
-        return (*cells.T.tolist(), status.tolist())
+        return (*cells.T.tolist(), _status(on_cut, singular, "singular"))
 
     _write_grid(out, GRID_AXES, grid_from_config(config, GRID_AXES), FIELD_COLUMNS, evaluate)
 

@@ -147,10 +147,12 @@ def _distance(a: float, r: float, x3: float, near_circle_tol: float) -> ComplexD
 
 
 def _distance_block(x: np.ndarray, y: np.ndarray, near_circle_tol: float | None = None):
-    """`_axis_frame` plus `_distance` on every row of (n, 3) blocks x and y.
+    """`_axis_frame` plus `_distance` on every row of an (n, 3) block x and its extensions y.
 
-    near_circle_tol is a validated length, or None for the default guard
-    `NEAR_CIRCLE_REL_TOL * a`, as in `complex_distance`.
+    y is an (n, 3) block, or one (1, 3) row that every row of x shares;
+    a shared row has its norm taken once.  near_circle_tol is a validated
+    length, or None for the default guard `NEAR_CIRCLE_REL_TOL * a`, as
+    in `complex_distance`.
 
     Returns the arrays (a, r, x3, p, q, on_cut, near_circle), each of
     length n and bit-identical row by row to the scalar path.  Raises
@@ -160,11 +162,20 @@ def _distance_block(x: np.ndarray, y: np.ndarray, near_circle_tol: float | None 
     not finite.  Finiteness is one flat test per block; the row is looked
     up only when it fails.  Callers keep n bounded: every intermediate has
     length n.
+
+    The magnitude |p - iq| serves only the two flags, overflow and
+    near_circle, so it is `np.hypot`; the scalar's `math.hypot`
+    (`_hypot_rows`) replaces it on each row where the two could set a flag
+    differently: within 8 ulps of the tolerance (each rounds within an ulp
+    of the exact value), not finite, or outside [2**-1000, 2**1000), where
+    an ulp stops being relative (a subnormal tolerance) or overflow nears.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or x.shape[1] != 3 or x.shape != y.shape:
-        raise ValidationError(f"blocks must both be (n, 3), got {x.shape} and {y.shape}")
+    if x.ndim != 2 or x.shape[1] != 3 or y.shape not in (x.shape, (1, 3)):
+        raise ValidationError(
+            f"blocks must be (n, 3), and y (n, 3) or (1, 3), got {x.shape} and {y.shape}"
+        )
     for block, what in ((x, "observation offset"), (y, "extension vector")):
         if not np.isfinite(block).all():
             k = int(np.argmax(~np.isfinite(block).all(axis=1)))
@@ -172,6 +183,7 @@ def _distance_block(x: np.ndarray, y: np.ndarray, near_circle_tol: float | None 
     a = _norm_rows(y)
     if not a.all():
         raise DegenerateExtensionError(_ZERO_EXTENSION)
+    a = np.broadcast_to(a, len(x))
     r = _norm_rows(x)
     x3 = _dot_rows(x, y) / a
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -180,7 +192,13 @@ def _distance_block(x: np.ndarray, y: np.ndarray, near_circle_tol: float | None 
         on_cut = (x3 == 0.0) & (r < a)
         p[on_cut] = 0.0
         q[on_cut] = np.sqrt(a[on_cut] * a[on_cut] - r[on_cut] * r[on_cut])
-    magnitude = _hypot_rows(p, q)
+        tol = NEAR_CIRCLE_REL_TOL * a if near_circle_tol is None else near_circle_tol
+        magnitude = np.hypot(p, q)
+        exact = ~((magnitude >= 2.0**-1000) & (magnitude < 2.0**1000))
+        exact |= np.abs(magnitude - tol) <= 8.0 * np.spacing(tol)
+    rows = np.flatnonzero(exact)
+    if len(rows):
+        magnitude[rows] = _hypot_rows(p[rows], q[rows])
     overflow = ~(magnitude < math.inf)
     if overflow.any():
         k = int(np.argmax(overflow))
@@ -188,7 +206,6 @@ def _distance_block(x: np.ndarray, y: np.ndarray, near_circle_tol: float | None 
             f"complex distance at r = {r[k]:g}, a = {a[k]:g} overflows a float",
             value=complex(p[k], -q[k]),
         )
-    tol = NEAR_CIRCLE_REL_TOL * a if near_circle_tol is None else near_circle_tol
     near_circle = (magnitude < tol) | (magnitude == 0.0)
     return a, r, x3, p, q, on_cut, near_circle
 

@@ -812,6 +812,50 @@ def test_block_coordinates_follow_the_grid_across_axis_wraps(tmp_path):
     assert [line.rsplit(",", 3)[0] for line in lines] == expected
 
 
+@pytest.mark.parametrize(
+    "grid,formatted",
+    [
+        # the propagator-grid slice: each short axis is formatted once, 201 + 1 + 201 + 1 values
+        pytest.param(
+            {
+                "x1": {"min": -2.0, "max": 2.0, "count": 201},
+                "x3": {"min": -2.0, "max": 2.0, "count": 201},
+                "t": 0.5,
+            },
+            404,
+            id="201x201",
+        ),
+        # x3 is longer than a block: it is formatted per block, 70,000 values in all,
+        # and x1, x2 and t once (2 + 7 + 1)
+        pytest.param(
+            {
+                "x1": {"min": -1.0, "max": 1.0, "count": 2},
+                "x2": {"min": -0.3, "max": 0.3, "count": 7},
+                "x3": {"min": -3.0, "max": 3.0, "count": 5000},
+            },
+            70_010,
+            id="long-x3",
+        ),
+    ],
+)
+def test_grid_writer_formats_a_short_axis_once(tmp_path, monkeypatch, grid, formatted):
+    calls = []
+    cells = cli._cells
+
+    def counted(values, blank=None):
+        # the propagator's value columns pass their singular mask; the coordinates pass none
+        if blank is None:
+            calls.append(len(values))
+        return cells(values, blank)
+
+    monkeypatch.setattr(cli, "_cells", counted)
+    code, _ = run_cli(tmp_path, "propagator", {"extent": [0.0, 0.0, 1.0, 2.0], "grid": grid})
+    assert code == 0
+    assert sum(calls) == formatted
+    # memory stays bounded: no call formats more than a block's coordinates
+    assert max(calls) <= cli._BLOCK
+
+
 # 10,000 thetas: three 4,096-angle slices, the last one short
 MANY_THETAS = {"min": -3.0, "max": 3.0, "count": 10_000}
 

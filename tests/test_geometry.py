@@ -17,6 +17,7 @@ from pulsebeam import (
     spheroidal_coords,
 )
 from pulsebeam.geometry import (
+    NEAR_CIRCLE_REL_TOL,
     _axis_frame,
     _distance_block,
     _rho_block,
@@ -113,6 +114,48 @@ def _block_edge_rows():
             rows.append((tuple(a * v + tilt * w for v, w in zip(t, yhat)), y))
     rows.append(((0.0, 0.0, -0.0), (0.0, 0.0, 1.0)))
     rows.append(((-0.0, -0.0, -0.0), (-1.0, 0.0, 0.0)))
+    # |p - iq| is 0 on the circle and at least about 2.2e-162 (the root of the
+    # smallest subnormal) off it: the smallest tilts, at scales down to 1e-300
+    for a in (1.0, 1e-160, 1e-300, 1e150):
+        for tilt in (0.0, 5e-324, 1e-323, 2.2e-308, 1e-300, 1e-200):
+            rows.append(((a, 0.0, tilt), (0.0, 0.0, a)))
+    return rows
+
+
+def _tilted_magnitude(eps, a, tol):
+    """The scalar |p - iq| at x = (a, 0, eps), y = (0, 0, a), as int64 bits."""
+    d = complex_distance((a, 0.0, eps), (0.0, 0.0, a), near_circle_tol=tol)
+    return int(np.float64(d.magnitude).view(np.int64))
+
+
+def _tolerance_rows(tol):
+    """Rows (x, y) whose scalar |p - iq| is the guard tolerance or one of its two neighbours.
+
+    tol=None is the default guard 1e-9 * a.  Off the circle, |p - iq| grows
+    with the tilt eps by about an ulp per ulp of eps or less, so a
+    bisection over the bits of eps finds the first tilt whose magnitude
+    reaches the tolerance, and the tilts around it hit the three values
+    (all three over the extensions tried: a step can skip one).
+    """
+    rows, found = [], set()
+    for a in (1.0, 2.5, 0.3):
+        # positive floats order like their bits, so the neighbours are target -+ 1
+        target = int(np.float64(NEAR_CIRCLE_REL_TOL * a if tol is None else tol).view(np.int64))
+        # |p - iq|^2 = eps sqrt(eps^2 + 4 a^2) >= eps^2: the tilt eps = tol reaches tol
+        lo, hi = 0, target
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _tilted_magnitude(np.int64(mid).view(np.float64), a, tol) < target:
+                lo = mid
+            else:
+                hi = mid
+        for bits in range(hi - 64, hi + 64):
+            eps = float(np.int64(bits).view(np.float64))
+            ulps = _tilted_magnitude(eps, a, tol) - target
+            if abs(ulps) <= 1:
+                rows.append(((a, 0.0, eps), (0.0, 0.0, a)))
+                found.add(ulps)
+    assert found == {-1, 0, 1}
     return rows
 
 
@@ -126,7 +169,8 @@ def test_distance_block_matches_the_scalar_oracle_bitwise():
     x = np.vstack([x, rng.uniform(-2.0, 2.0, size=(2_000, 3)) * scale])
     y = np.vstack([y, rng.normal(size=(2_000, 3)) * scale])
     n = len(x)
-    edges = _block_edge_rows()
+    # the guard flag is decided at its tolerance as the scalar decides it
+    edges = _block_edge_rows() + _tolerance_rows(None)
     x = np.vstack([x, [row[0] for row in edges]])
     y = np.vstack([y, [row[1] for row in edges]])
     a, r, x3, p, q, on_cut, near_circle = _distance_block(x, y)
@@ -149,18 +193,76 @@ def test_distance_block_matches_the_scalar_oracle_bitwise():
     tail = slice(n, None)
     assert on_cut[tail].any() and near_circle[tail].any() and (p[tail] == 0.0).any()
     assert (~on_cut[tail] & near_circle[tail] & (p[tail] > 0.0)).any()
-    # an explicit guard tolerance goes through the kernel as through complex_distance
-    rows = np.r_[0:2_000, n : len(x)]
-    for tol in (0.0, 1e-3, 0.5):
-        near_circle = _distance_block(x[rows], y[rows], tol)[6]
-        want = [complex_distance(x[k], y[k], near_circle_tol=tol).near_circle for k in rows]
+    # an explicit guard tolerance goes through the kernel as through complex_distance:
+    # zero, a subnormal (no root lies at it), and two with rows at the tolerance
+    # 2,000 random rows, then the extreme-scale and edge rows
+    rows = np.r_[0:2_000, 20_000 : len(x)]
+    for tol in (0.0, 1e-310, 1e-3, 0.5):
+        at_tol = _tolerance_rows(tol) if tol > 1e-300 else []
+        xs = np.vstack([x[rows], *([row[0]] for row in at_tol)])
+        ys = np.vstack([y[rows], *([row[1]] for row in at_tol)])
+        near_circle = _distance_block(xs, ys, tol)[6]
+        want = [complex_distance(xk, yk, near_circle_tol=tol).near_circle for xk, yk in zip(xs, ys)]
         assert np.array_equal(near_circle, want)
+        assert near_circle.any() and not near_circle.all()
+    # the kernel's np.hypot and the scalar's math.hypot round some magnitudes an
+    # ulp apart; a tolerance at either value decides the flag on the scalar's
+    magnitudes = np.array([math.hypot(pk, qk) for pk, qk in zip(p.tolist(), q.tolist())])
+    split = np.flatnonzero(np.hypot(p, q) != magnitudes)
+    below = split[np.hypot(p[split], q[split]) < magnitudes[split]]
+    above = split[np.hypot(p[split], q[split]) > magnitudes[split]]
+    assert len(below) >= 2 and len(above) >= 2
+    for k in (*below[:2], *above[:2]):
+        for tol in (float(np.hypot(p[k], q[k])), float(magnitudes[k])):
+            near_circle = _distance_block(x[split], y[split], tol)[6]
+            want = [complex_distance(x[j], y[j], near_circle_tol=tol).near_circle for j in split]
+            assert np.array_equal(near_circle, want)
+
+
+def test_a_shared_extension_row_matches_the_repeated_block_bitwise():
+    rng = np.random.default_rng(20261021)
+    edges = _block_edge_rows()
+    x = rng.uniform(-5.0, 5.0, size=(4_000, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(4_000, 1))
+    x = np.vstack([x, [row[0] for row in edges]])
+    extensions = {row[1] for row in edges} | {tuple(rng.normal(size=3).tolist())}
+    for extension in sorted(extensions):
+        y1 = np.array([extension])
+        for tol in (None, 0.0, 1e-3):
+            shared = _distance_block(x, y1, tol)
+            repeated = _distance_block(x, np.repeat(y1, len(x), 0), tol)
+            for got, want in zip(shared[:5], repeated[:5]):
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            for got, want in zip(shared[5:], repeated[5:]):
+                assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "extension,error,message",
+    [
+        ((0.0, 0.0, 0.0), DegenerateExtensionError, None),
+        (
+            (0.0, math.inf, 1.0),
+            ValidationError,
+            "extension vector components must be finite, got row 0: [ 0. inf  1.]",
+        ),
+    ],
+    ids=["zero", "inf"],
+)
+def test_a_bad_shared_extension_row_raises_as_before(extension, error, message):
+    x = np.array([[0.3, 0.2, 0.1], [1.0, 0.0, 0.0]])
+    with pytest.raises(error) as repeated:
+        _distance_block(x, np.repeat([extension], len(x), 0))
+    with pytest.raises(error) as shared:
+        _distance_block(x, np.array([extension]))
+    assert str(shared.value) == str(repeated.value) == (message or str(repeated.value))
 
 
 @pytest.mark.parametrize(
     "bad,error,message",
     [
         (((1.4e154, 0.0, 0.0), (0.0, 0.0, 1.0)), AccuracyError, None),
+        (((2.0**1000, 0.0, 0.0), (0.0, 0.0, 1.0)), AccuracyError, None),
+        (((1.0, 0.0, 0.0), (0.0, 2.0**1000, 0.0)), AccuracyError, None),
         (((1.0, 0.0, 0.0), (0.0, 0.0, 0.0)), DegenerateExtensionError, None),
         (
             ((math.nan, 0.0, 0.0), (0.0, 0.0, 1.0)),
@@ -173,7 +275,14 @@ def test_distance_block_matches_the_scalar_oracle_bitwise():
             "extension vector components must be finite, got row 1: [ 0. inf  1.]",
         ),
     ],
-    ids=["overflow", "zero-extension", "nan-offset", "inf-extension"],
+    ids=[
+        "overflow",
+        "offset-beyond-2**1000",
+        "extension-beyond-2**1000",
+        "zero-extension",
+        "nan-offset",
+        "inf-extension",
+    ],
 )
 def test_distance_block_raises_the_scalar_errors(bad, error, message):
     with pytest.raises(error) as scalar:
