@@ -42,10 +42,12 @@ pass reads it back (see `_quad_complex`).  The Gaussian hands it an
 integrand that takes one Python frame per node.
 
 scipy is used for quadrature only, by the Gaussian analytic signal and
-`spectral_signal`, and is loaded at the first quadrature: the module
-attribute `quad` is bound to `scipy.integrate.quad` on first use, so
-importing pulsebeam, or a CLI call that never integrates, does not
-import scipy.
+`spectral_signal`, and only its compiled QUADPACK is loaded, at the first
+quadrature: the module attribute `quad` is bound on first use to a thin
+function over `scipy.integrate._quadpack`, loaded without running the
+`scipy.integrate` package (which imports optimize, sparse, linalg and
+special).  Importing pulsebeam, or a CLI call that never integrates, does
+not import scipy at all.
 """
 
 from __future__ import annotations
@@ -400,13 +402,54 @@ def fourier_transform(signal: DrivingSignal, omega: float) -> complex:
 
 
 def __getattr__(name: str):
-    """Bind scipy's quad as `signals.quad` on first use, so importing pulsebeam skips scipy."""
+    """Bind `signals.quad` on first use to QUADPACK's adaptive Gauss-Kronrod routine alone.
+
+    `quad(func, a, b, full_output, epsabs, epsrel, limit)` is
+    `_qagse(func, a, b, (), full_output, epsabs, epsrel, limit)`, which
+    is what `scipy.integrate.quad` calls for a finite interval with a < b
+    and no weight or break points: every value, estimate and node is the
+    same.  Only the extension module is loaded: `find_spec` locates
+    scipy without importing it, and the extension is found in scipy's
+    `integrate` directory and initialised on its own, so the
+    `scipy.integrate` package, and the optimize, sparse, linalg and
+    special packages it imports, stay unloaded.  A missing scipy or
+    extension raises ImportError.
+    """
     if name != "quad":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy.integrate import quad
+    qagse = _quadpack()._qagse
+
+    def quad(func, a, b, full_output, epsabs, epsrel, limit):
+        return qagse(func, a, b, (), full_output, epsabs, epsrel, limit)
 
     globals()["quad"] = quad
     return quad
+
+
+def _quadpack():
+    """The module `scipy.integrate._quadpack`, initialised without its package.
+
+    A copy that is already loaded (scipy.integrate imported it) is reused.
+    """
+    import importlib.machinery
+    import importlib.util
+    import os
+
+    name = "scipy.integrate._quadpack"
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("quadrature needs scipy's QUADPACK, and scipy is not installed")
+    path = [os.path.join(root, "integrate") for root in scipy.submodule_search_locations]
+    spec = importlib.machinery.PathFinder.find_spec(name, path)
+    if spec is None:
+        raise ImportError(f"quadrature needs {name}, which is not in {path}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
 
 
 class _ImagParts(dict):
@@ -440,10 +483,17 @@ def _quad_complex(storing: Callable, lo: float, hi: float, limit: int = 200):
     The store lives for this call only and is freed when it returns.  It
     is keyed by the float node, so -0.0 and 0.0 share an entry; that is
     sound because every integrand here gives the same bits at both (the
-    tests check it).  full_output makes QUADPACK return its
-    non-convergence message rather than warn with it; _check_accuracy
-    judges the estimate.
+    tests check it).  QUADPACK reports a missed target only in the flag
+    that closes its result, which nothing reads and nothing turns into a
+    warning; _check_accuracy judges the estimate.
+
+    An empty interval, lo == hi (a Gaussian narrower than the float
+    spacing at its centre), gives 0 with estimate 0 and no quadrature, as
+    `scipy.integrate.quad` does; QUADPACK itself would sample it and can
+    return nan, so `quad` is only ever called with lo < hi.
     """
+    if lo == hi:
+        return 0j, 0.0
     quad = globals().get("quad") or __getattr__("quad")
     imag = _ImagParts()
     real = imag.real = storing(imag)

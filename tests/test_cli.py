@@ -606,6 +606,13 @@ MIRROR_CONFIG = {
 }
 # linspace(-0.0, -0.0, 2) is [0.0, -0.0]: one t axis holding both zeros
 SIGNED_ZERO_T = {"min": -0.0, "max": -0.0, "count": 2}
+# 30 uneven samples with nonzero ends: a jump at each end of the support
+SAMPLED_TIMES = [-1.2 + 0.11 * k + 0.04 * (k % 3) for k in range(30)]
+SAMPLED_SIGNAL = {
+    "type": "sampled",
+    "times": SAMPLED_TIMES,
+    "values": [0.3 + 0.6 * math.sin(2.3 * t) - 0.4 * math.cos(5.1 * t) for t in SAMPLED_TIMES],
+}
 # 9,882 rows: three blocks of the grid writer
 THREE_BLOCKS_CONFIG = {
     "extent": [1.0, 0.0, 0.0, 1.4],
@@ -671,6 +678,7 @@ def scalar_wavelet_csv(config):
             id="signed-zero-t",
         ),
         pytest.param(THREE_BLOCKS_CONFIG, id="three-blocks"),
+        pytest.param(dict(MIRROR_CONFIG, signal=SAMPLED_SIGNAL), id="sampled"),
     ],
 )
 def test_wavelet_grid_matches_the_scalar_path_byte_for_byte(tmp_path, config):

@@ -65,6 +65,33 @@ CONFIGS = {
             },
         },
     ),
+    # uneven samples with nonzero ends, on the mirror slice through the extension axis
+    "wavelet-sampled": (
+        "wavelet",
+        {
+            "extent": [1.0, 0.0, 0.0, 1.4],
+            "signal": {
+                "type": "sampled",
+                "times": [
+                    -1.1, -0.955, -0.848, -0.772, -0.689, -0.614, -0.458, -0.409, -0.32,
+                    -0.167, -0.023, 0.074, 0.121, 0.26, 0.408, 0.484, 0.526, 0.674, 0.787,
+                    0.877, 0.935, 1.057, 1.168, 1.318, 1.445, 1.6, 1.683, 1.802, 1.92,
+                    1.984, 2.115, 2.246, 2.345, 2.463, 2.536, 2.68,
+                ],
+                "values": [
+                    0.268, -0.123, -0.408, -0.567, -0.673, -0.692, -0.498, -0.382, -0.127,
+                    0.339, 0.666, 0.773, 0.791, 0.735, 0.589, 0.526, 0.503, 0.517, 0.626,
+                    0.746, 0.824, 0.942, 0.943, 0.728, 0.378, -0.128, -0.366, -0.595,
+                    -0.647, -0.601, -0.376, -0.062, 0.162, 0.352, 0.412, 0.41,
+                ],
+            },
+            "grid": {
+                "x1": {"min": -1.0, "max": 1.0, "count": 5},
+                "x2": {"min": -1.5, "max": 1.5, "count": 7},
+                "t": {"min": 0.0, "max": 1.0, "count": 2},
+            },
+        },
+    ),
     "pattern": (
         "pattern",
         {"s": 2.0, "a": 1.0, "r": 100.0, "theta": {"min": 0.0, "max": math.pi, "count": 37}},
@@ -97,6 +124,7 @@ EXPECTED = {
         "ef733a5626c957c3cb6d9e3a7e04e008fd72c8fc5bcf931679287a7cfd502969"
     ],
     "wavelet-temporal": ["abff66fc5dbc68b4199e9f5e4653ceeb73ee32eca5f606394aa565af67d7946b"],
+    "wavelet-sampled": ["1e2f020adc19c6177ccf4f11a4a38a3f0af8e8e6a50cf3109c4de2930559dc12"],
 }
 
 

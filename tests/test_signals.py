@@ -640,7 +640,7 @@ def test_jump_of_signal_evaluates_one_side_per_rung(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# scipy is loaded at the first quadrature
+# only scipy's compiled QUADPACK is loaded, at the first quadrature
 # ---------------------------------------------------------------------------
 
 SRC = pathlib.Path(__file__).parent.parent / "src"
@@ -664,23 +664,30 @@ def test_cli_grids_without_quadrature_never_import_scipy(tmp_path):
     configs = {
         "propagator": {"extent": extent, "grid": {"x1": axis, "x3": axis, "t": 1.0}},
         "distance": {"extent": extent, "grid": {"x1": axis, "x3": axis}},
+        "wavelet": {
+            "extent": extent,
+            "signal": {"type": "gaussian", "width": 0.5},
+            "grid": {"x1": axis, "x3": axis, "t": 1.0},
+        },
     }
     for command, config in configs.items():
         (tmp_path / f"{command}.json").write_text(json.dumps(config))
     code = """
 import json, os, sys
 import pulsebeam.cli
-work = sys.argv[1]
-for command in ("propagator", "distance"):
-    path = os.path.join(work, command)
+def run(command):
+    path = os.path.join(sys.argv[1], command)
     assert pulsebeam.cli.main([command, "--config", path + ".json", "--out", path + ".csv"]) == 0
-before = sorted(name for name in sys.modules if name.startswith("scipy"))
-pulsebeam.analytic_signal(pulsebeam.GaussianPulse(), complex(0.0, -1.0))
-print(json.dumps([before, "scipy.integrate" in sys.modules]))
+    return sorted(name for name in sys.modules if name.startswith("scipy"))
+run("propagator")
+print(json.dumps([run("distance"), run("wavelet")]))
 """
-    before, loaded = json.loads(_run_fresh(code, str(tmp_path)))
+    before, after = json.loads(_run_fresh(code, str(tmp_path)))
     assert before == []
-    assert loaded
+    assert "scipy.integrate._quadpack" in after
+    packages = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg", "scipy.special")
+    assert [name for name in packages if name in after] == []
+    assert len(after) <= 15, after
     for command in configs:
         assert len((tmp_path / f"{command}.csv").read_text().splitlines()) == 17
 
@@ -699,13 +706,12 @@ signals.quad = counting
 pulsebeam.analytic_signal(pulsebeam.GaussianPulse(), complex(0.0, -1.0))
 assert len(calls) >= 2, calls
 """,
+    # test_quad_is_bitwise_scipy_quad checks the bits of what it binds
     "reading-quad-binds-scipy-quad": """
 import sys
 from pulsebeam import signals
-assert "scipy.integrate" not in sys.modules
 quad = signals.quad
-import scipy.integrate
-assert quad is scipy.integrate.quad
+assert "scipy.integrate" not in sys.modules
 assert vars(signals)["quad"] is quad
 """,
     "other-names-raise": """
@@ -725,6 +731,90 @@ assert "scipy.integrate" not in sys.modules
 @pytest.mark.parametrize("code", SEAM_CASES.values(), ids=SEAM_CASES.keys())
 def test_signals_quad_is_a_module_attribute_bound_on_first_use(code):
     _run_fresh(code)
+
+
+def _noting(quad, func, a, b, options):
+    """quad(func, a, b, **options) and the nodes it asked for, as int64 views of their bits."""
+    nodes = []
+
+    def noted(t):
+        nodes.append(t)
+        return func(t)
+
+    result = quad(noted, a, b, **options)
+    return result, np.array(result[:2]).view(np.int64), np.array(nodes).view(np.int64)
+
+
+def _quad_cases():
+    """(tau, complex integrand, a, b, limit) of Gaussian and spectral quadrature panels."""
+    gaussian = GaussianPulse(center=0.4, width=0.7, amplitude=-1.3)
+    # far from the real axis, near it, above it, and where QUADPACK misses its target
+    for sig, z in (
+        (gaussian, complex(-2.5, -6.0)),
+        (gaussian, complex(0.9, -1e-3)),
+        (gaussian, complex(1.7, 0.02)),
+        (GaussianPulse(0.0, 1.0, 1.0), complex(0.7, -1e-7)),
+    ):
+        lo, hi = sig.effective_support()
+        for a, b in ((lo, z.real), (z.real, hi)):
+            yield z, (lambda tp, z=z, g0=sig.amplitude_at: g0(tp) / (z - tp)), a, b, 200
+    for t, s in ((0.0, 0.5), (3.0, -0.8), (-0.7, 0.05)):
+        upper = gaussian.spectral_limit(abs(s))
+        yield complex(t, -s), spectral_integrand(gaussian, t, s), 0.0, upper, 800
+
+
+def test_quad_is_bitwise_scipy_quad():
+    from scipy.integrate import quad as scipy_quad
+
+    missed = 0
+    for tau, func, a, b, limit in _quad_cases():
+        options = {"full_output": 1, "epsabs": 1e-15, "epsrel": 1e-12, "limit": limit}
+        for part in (lambda t: func(t).real, lambda t: func(t).imag):
+            got, bits, nodes = _noting(signals.quad, part, a, b, options)
+            want, want_bits, want_nodes = _noting(scipy_quad, part, a, b, options)
+            assert bits.tolist() == want_bits.tolist(), (tau, a, b)
+            assert nodes.tolist() == want_nodes.tolist(), (tau, a, b)
+            # the subinterval tables past `last` are uninitialised memory
+            last = want[2]["last"]
+            assert (got[2]["neval"], got[2]["last"]) == (want[2]["neval"], last), tau
+            for key in ("alist", "blist", "rlist", "elist", "iord"):
+                assert got[2][key][:last].tobytes() == want[2][key][:last].tobytes(), (tau, key)
+            # QUADPACK's ier closes the tuple; scipy swaps a nonzero one for its message
+            assert (got[-1] != 0) == (len(want) == 4), (tau, a, b)
+            missed += got[-1] != 0
+    assert missed > 0
+
+
+def test_an_empty_quadrature_panel_is_zero_without_quadrature(monkeypatch):
+    # a width below the float spacing at the centre leaves the support one point
+    # wide; QUADPACK would sample it and, at this amplitude, return nan
+    def unexpected(*args, **kwargs):
+        raise AssertionError("quad called on an empty panel")
+
+    monkeypatch.setattr(signals, "quad", unexpected)
+    sig = GaussianPulse(center=1.0, width=1e-20, amplitude=1e308)
+    assert sig.effective_support() == (1.0, 1.0)
+    for tau in (complex(1.0, -1e-10), complex(1.0, 1e-10), complex(1.0, -1.0)):
+        value = analytic_signal(sig, tau)
+        assert (value.real, value.imag) == (0.0, 0.0) and repr(value) == "0j"
+
+
+def test_a_missing_quadpack_raises_one_import_error(monkeypatch, tmp_path):
+    import importlib.machinery
+    import importlib.util
+
+    # no copy loaded, so the loader has to find one
+    monkeypatch.delitem(sys.modules, "scipy.integrate._quadpack", raising=False)
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match="scipy is not installed"):
+        signals._quadpack()
+    # a scipy whose integrate directory has no extension
+    empty = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    empty.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: empty)
+    with pytest.raises(ImportError, match=r"needs scipy\.integrate\._quadpack, which is not in"):
+        signals._quadpack()
+    assert "scipy.integrate._quadpack" not in sys.modules
 
 
 def test_quadrature_that_misses_its_target_warns_nothing():

@@ -124,6 +124,43 @@ def test_no_module_imports_scipy_at_import_time(path):
     assert [name for name in names if name == "scipy" or name.startswith("scipy.")] == []
 
 
+def _scipy_submodule_imports(tree: ast.Module):
+    """(line, module) of each import statement, at any depth, that names a scipy submodule."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "scipy":
+            names = [f"scipy.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name.startswith("scipy.")]
+    return found
+
+
+def test_scipy_submodule_imports_are_found_in_function_bodies():
+    tree = ast.parse(
+        "import scipy\nimport os.path\n"
+        "def f():\n    from scipy.integrate import quad\n"
+        "    def g():\n        import scipy.special as special\n"
+        "class C:\n    from scipy import linalg, sparse\n"
+    )
+    assert sorted(_scipy_submodule_imports(tree)) == [
+        (4, "scipy.integrate"), (6, "scipy.special"), (8, "scipy.linalg"), (8, "scipy.sparse")
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_imports_a_scipy_submodule(path):
+    # importing any scipy package runs its __init__ and what that imports
+    # (scipy.integrate alone loads 355 modules); quadrature loads the compiled
+    # QUADPACK by itself (signals._quadpack)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _scipy_submodule_imports(tree) == []
+
+
 def _quadrature_calls(tree: ast.Module):
     """(function, line) of every call of a name ending in `quad`, by enclosing function."""
     found = []
