@@ -29,8 +29,10 @@ or inf.
 Every subcommand writes through one grid writer; `pattern` and `channel`
 are grids over the one axis theta.  Grids are evaluated in blocks of
 `geometry._BLOCK` (4,096) points in row order, and each block is written
-as one string as soon as it is computed.  An axis of at most a block's
-length is formatted once, before the first block; a longer one is
+as one string as soon as it is computed.  No axis is built whole: each
+block's coordinates are generated from the axes' (min, max, count) at its
+own indices, with numpy's `linspace` arithmetic.  An axis of at most a
+block's length is formatted once, before the first block; a longer one is
 formatted in each block, only where the block reaches, so memory stays
 bounded whatever the grid size.  The first block is evaluated before the
 file is opened.
@@ -117,11 +119,43 @@ def _number(value, field: str, integer: bool = False):
     raise ValidationError(f"'{field}' must be {kind}, got {value!r}")
 
 
-def _axis(name: str, spec) -> Tuple[int, Callable[[], np.ndarray]]:
-    """Validated sample axis at config path `name`: its count, and a function building it.
+def _linspace_at(axis: Tuple[float, float, int], index: np.ndarray) -> np.ndarray:
+    """numpy.linspace(lo, hi, count)[index] for an axis (lo, hi, count), without the rest of it.
+
+    Bit for bit: transcribed from `linspace` in numpy/_core/function_base.py
+    of numpy 2.4.6, for float ends and endpoint=True.  It takes the indices
+    as floats, multiplies them by the step delta/div (or divides them by
+    div and multiplies by delta, where that step underflows to zero:
+    numpy's gh-5437), adds lo, and sets the last sample to hi itself.
+    """
+    lo, hi, count = axis
+    div = count - 1
+    delta = hi - lo
+    y = index.astype(np.float64)
+    with np.errstate(all="ignore"):
+        if div > 0:
+            step = delta / div
+            if step == 0:
+                y /= div
+                y *= delta
+            else:
+                y *= step
+        else:
+            y *= delta
+        y += lo
+    if div > 0:
+        y[index == div] = hi
+    return y
+
+
+def _axis(name: str, spec) -> Tuple[int, Callable[[], Tuple[float, float, int]]]:
+    """Validated sample axis at config path `name`: its count, and a function checking it.
 
     The count is known before anything is allocated, so callers can check
-    the point cap first.
+    the point cap first.  The function refuses an axis whose samples
+    overflow a float, and returns it as (lo, hi, count): it builds no
+    sample array, since the grid writer generates each block's coordinates
+    with `_linspace_at`.
     """
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
         lo = hi = _number(spec, name)
@@ -139,11 +173,12 @@ def _axis(name: str, spec) -> Tuple[int, Callable[[], np.ndarray]]:
         raise ValidationError(f"'{name}' must be a number (fixed) or an object with min/max/count")
 
     def build():
-        with np.errstate(all="ignore"):
-            values = np.linspace(lo, hi, count)
-        if not np.isfinite(values).all():
+        axis = (lo, hi, count)
+        # the samples rise with the index, so the first one and the last
+        # before hi bound them
+        if not np.isfinite(_linspace_at(axis, np.array([0, max(count - 2, 0)]))).all():
             raise ValidationError(f"'{name}' samples between {lo} and {hi} overflow a float")
-        return values
+        return axis
 
     return count, build
 
@@ -160,8 +195,11 @@ def _check_cap(config: dict, total: int, what: str) -> None:
         )
 
 
-def grid_from_config(config: dict, names: Sequence[str]) -> Tuple[np.ndarray, ...]:
-    """The sample values of each axis in `names`, in that order."""
+def grid_from_config(config: dict, names: Sequence[str]) -> Tuple[Tuple[float, float, int], ...]:
+    """The (lo, hi, count) of each axis in `names`, in that order, once the point cap is checked.
+
+    No axis is built here: the grid writer generates each block's samples.
+    """
     grid_cfg = _fields(config.get("grid", {}), "grid", optional=names)
     axes = [(name, *_axis(f"grid.{name}", grid_cfg.get(name, 0.0))) for name in names]
     _check_cap(config, math.prod(count for _, count, _ in axes), "grid")
@@ -266,9 +304,12 @@ def _write_grid(
     """Stream one row per grid point, row-major over `axes`: its coordinates, then its cells.
 
     The points go in blocks of `_BLOCK` rows, each written as one string,
-    and the first block is evaluated before the file is opened.  An axis
-    of at most `_BLOCK` values is formatted once, before the first block;
-    a longer one, in each block, only where the block reaches.
+    and the first block is evaluated before the file is opened.  Each axis
+    is a (lo, hi, count), and each block generates its coordinates at its
+    own indices with `_linspace_at`, so memory does not grow with an
+    axis's length.  An axis of at most `_BLOCK` values is formatted once,
+    before the first block; a longer one, in each block, only where the
+    block reaches.
     evaluate(points) gets a block as an (n, len(names)) array and returns
     its cell columns; it raises on a slice of rows exactly when one of
     them raises alone.  When it raises an accuracy or float-overflow
@@ -278,28 +319,29 @@ def _write_grid(
     on that row alone aborts the grid with an AccuracyError naming its
     index and point.
     """
-    shape = tuple(map(len, axes))
+    shape = tuple(count for _, _, count in axes)
     total = math.prod(shape)
     strides = [math.prod(shape[k + 1 :]) for k in range(len(shape))]
     formatted = [
-        np.array(_cells(axis), dtype=object) if len(axis) <= _BLOCK else None for axis in axes
+        np.array(_cells(_linspace_at(axis, np.arange(n))), dtype=object) if n <= _BLOCK else None
+        for axis, n in zip(axes, shape)
     ]
 
     def block(start):
         rows = np.arange(start, min(start + _BLOCK, total))
         points, coordinates = [], []
-        for axis, stride, whole in zip(axes, strides, formatted):
+        for axis, n, stride, whole in zip(axes, shape, strides, formatted):
             steps = rows // stride
-            index = steps % len(axis)
-            points.append(axis[index])
+            index = steps % n
+            points.append(_linspace_at(axis, index))
             if whole is not None:
                 coordinates.append(whole[index].tolist())
             else:
                 # a long axis: the block's steps along it, counted across its wraps,
                 # format each of its distinct coordinates once, at most _BLOCK + 1
                 lo = int(steps[0])
-                count = min(int(steps[-1]) - lo + 1, len(axis))
-                local = np.array(_cells(axis[np.arange(lo, lo + count) % len(axis)]), dtype=object)
+                count = min(int(steps[-1]) - lo + 1, n)
+                local = np.array(_cells(_linspace_at(axis, np.arange(lo, lo + count) % n)), object)
                 coordinates.append(local[(steps - lo) % count].tolist())
         points = np.column_stack(points)
         try:
@@ -433,7 +475,7 @@ def _run_wavelet(config: dict, out: str) -> None:
 
 
 def _theta_axis(config: dict, default_min: float, default_max: float, default_count: int):
-    """The function building the theta axis, once its spec and its count are checked."""
+    """`_axis`'s function for the theta axis, once its spec and its count are checked."""
     theta_cfg = _fields(config.get("theta", {}), "theta", optional=_AXIS_FIELDS)
     spec = {"min": default_min, "max": default_max, "count": default_count, **theta_cfg}
     count, build = _axis("theta", spec)

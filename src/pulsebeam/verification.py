@@ -7,19 +7,20 @@ string.  Its id and name are written once, in `ACCEPTANCE_CHECKS`.
 id and name in a `CheckResult`, and is shared by the CLI `verify`
 subcommand and the acceptance test module.
 
-The seeded checks (1-4, 6 and 7) draw whole arrays from their generator:
+The seeded checks (1-4, 6 and 7) draw arrays from their generator:
 `_unit_vectors(rng, n)` for directions, `rng.uniform(lo, hi, n)`,
 `rng.choice([-1.0, 1.0], n)` for signs and `10.0 ** array` for log-uniform
-lengths.  Each keeps its seed, its sample count, its distributions and its
-bounds, so a run is reproducible and its detail string is pinned in the
-tests; a change to any of them changes the string on purpose.  Checks 1-3
-evaluate their points through the block kernel `geometry._distance_block`
-(and `_rho_block` for check 3), in slices of `_BLOCK` rows so that memory
-stays bounded, keeping running maxima.  The kernel is bit-identical to the
-scalar `complex_distance` and `spheroidal_coords`, which stay its oracle
-in the tests.  The row lengths and dot products that the checks take
-themselves come from `_rows`, the interpreter's `math.hypot` and `dot3`
-on arrays, as the kernel's do.
+lengths.  Each keeps its seed, its sample count, its distributions, the
+order of its draws and its bounds, so a run is reproducible and its detail
+string is pinned in the tests; a change to any of them changes the string
+on purpose.  Checks 1-3 and 7 draw and evaluate their points in slices of
+at most `_BLOCK` rows, so that memory stays bounded, keeping running
+maxima; checks 1-3 evaluate them through the block kernel
+`geometry._distance_block` (and `_rho_block` for check 3).  The kernel is
+bit-identical to the scalar `complex_distance` and `spheroidal_coords`,
+which stay its oracle in the tests.  The row lengths and dot products that
+the checks take themselves come from `_rows`, the interpreter's
+`math.hypot` and `dot3` on arrays, as the kernel's do.
 
 Checks 6 and 7 run on flat arrays, not on `Channel`, `ConeVector` or
 `RealEvent` objects: `_link_durations` does the operations of
@@ -93,12 +94,13 @@ def _unit_vectors(rng: np.random.Generator, count: int) -> np.ndarray:
 def _offset_blocks(rng: np.random.Generator, n: int):
     """The n offsets of checks 1-2 as (x, yhat, a, r, p, q), a `_BLOCK` of rows at a time.
 
-    Drawn in the order n unit yhat, a = 10^U(-1, 0.5), x in U(-5, 5)^3."""
-    dirs = _unit_vectors(rng, n)
-    radii = 10.0 ** rng.uniform(-1.0, 0.5, size=n)
-    xs = rng.uniform(-5.0, 5.0, size=(n, 3))
+    Each slice is drawn just before its kernel call, in the order unit yhat,
+    a = 10^U(-1, 0.5), x in U(-5, 5)^3, so no draw is larger than a slice."""
     for lo in range(0, n, _BLOCK):
-        x, yhat, a = xs[lo : lo + _BLOCK], dirs[lo : lo + _BLOCK], radii[lo : lo + _BLOCK]
+        rows = min(_BLOCK, n - lo)
+        yhat = _unit_vectors(rng, rows)
+        a = 10.0 ** rng.uniform(-1.0, 0.5, size=rows)
+        x = rng.uniform(-5.0, 5.0, size=(rows, 3))
         _, r, _, p, q, _, _ = _distance_block(x, a[:, None] * yhat)
         yield x, yhat, a, r, p, q
 

@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 import re
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -167,6 +168,132 @@ def test_huge_counts_rejected_before_any_axis_is_built(tmp_path, capsys, command
 
 AXIS = {"x1": {"min": 0.0, "max": 1.0, "count": 2}}
 EXTENT = [0.0, 0.0, 1.0, 2.0]
+
+
+# half the largest float: a span of exactly that largest float, and one ulp more overflows
+HALF_MAX = 8.988465674311579e307
+# (lo, hi, count) where numpy's linspace takes each of its branches
+EDGE_AXES = [
+    (0.0, 1.0, 1),
+    (0.0, 1.0, 2),
+    (2.5, 2.5, 1),
+    (2.5, 2.5, 7),
+    (-0.0, -0.0, 1),
+    (-0.0, -0.0, 2),
+    (0.0, -0.0, 3),
+    (-1.7e308, 1.7e308, 1),
+    # subnormal spans; a step of 1.5e-323 / 9 underflows to 0 (numpy's divide-then-multiply)
+    (0.0, 1.5e-323, 10),
+    (-5e-324, 5e-324, 4),
+    (1e-310, 3e-310, 1000),
+    # near overflow: the span fits, or its samples overflow
+    (-HALF_MAX, HALF_MAX, 3),
+    (-HALF_MAX, math.nextafter(HALF_MAX, math.inf), 3),
+    (-1e308, 7e307, 9),
+    (1.7e308, 1.7976931348623157e308, 3),
+    (-1.7e308, 1.7e308, 3),
+    # longer than a block
+    (-3.0, 3.0, 10_000),
+    (0.0, 1.0, cli._BLOCK + 1),
+    (-1e-3, 7.0, 3 * cli._BLOCK + 17),
+]
+
+
+def seeded_axes(seed, n=300):
+    """n sorted (lo, hi) pairs from 1e-323 to 1e308 in magnitude, of either sign, with counts."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        ends = rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-323.0, 308.0, 2)
+        if rng.random() < 0.3:
+            # both ends at one scale
+            ends[1] = ends[0] * rng.uniform(-2.0, 2.0)
+        lo, hi = sorted(ends.tolist())
+        count = int(rng.choice([1, 2, 3, int(rng.integers(4, 3 * cli._BLOCK))]))
+        yield lo, hi, count
+
+
+def test_axis_samples_are_numpy_linspace_bit_for_bit():
+    for lo, hi, count in EDGE_AXES + list(seeded_axes(20261021)):
+        with np.errstate(all="ignore"):
+            want = np.linspace(lo, hi, count)
+        axis = (lo, hi, count)
+        got = cli._linspace_at(axis, np.arange(count))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (lo, hi, count)
+        # any indices, in any order and repeated, as a block that wraps the axis asks for them
+        index = np.random.default_rng(count).integers(0, count, 64)
+        index[-1] = count - 1
+        got = cli._linspace_at(axis, index)
+        assert np.array_equal(got.view(np.int64), want[index].view(np.int64)), (lo, hi, count)
+
+
+def test_axis_overflow_is_refused_exactly_when_linspace_overflows():
+    # spans about the largest float, about half of which overflow
+    rng = np.random.default_rng(7)
+    ends = rng.uniform(0.4, 1.0, (200, 2)) * HALF_MAX * 2.0
+    counts = rng.integers(1, 3 * cli._BLOCK, 200)
+    near = [(-lo, hi, int(count)) for (lo, hi), count in zip(ends.tolist(), counts)]
+    refused = 0
+    for lo, hi, count in EDGE_AXES + near + list(seeded_axes(7)):
+        with np.errstate(all="ignore"):
+            finite = np.isfinite(np.linspace(lo, hi, count)).all()
+        build = cli._axis("grid.x1", {"min": lo, "max": hi, "count": count})[1]
+        if finite:
+            assert build() == (lo, hi, count)
+            continue
+        with pytest.raises(errors.ValidationError) as exc:
+            build()
+        assert str(exc.value) == f"'grid.x1' samples between {lo} and {hi} overflow a float"
+        refused += 1
+    assert 50 < refused < 200
+
+
+@pytest.mark.parametrize(
+    "lo,hi,count",
+    [
+        # the span overflows, so the first sample is already nan
+        (-HALF_MAX, math.nextafter(HALF_MAX, math.inf), 5),
+        # the span fits and the first sample is 0, but past 2**53 samples the
+        # step's rounding carries the second-to-last one over the largest float
+        (0.0, 1.7976931348623157e308, 15_889_521_829_048_158),
+    ],
+    ids=["span", "second-to-last"],
+)
+def test_axis_overflow_is_one_line_exit_1_before_any_block(
+    tmp_path, capsys, monkeypatch, lo, hi, count
+):
+    def no_block(*args, **kwargs):
+        raise AssertionError("a block was evaluated")
+
+    monkeypatch.setattr(cli, "_distance_block", no_block)
+    grid = {"x1": {"min": lo, "max": hi, "count": count}}
+    config = {"extent": EXTENT, "grid": grid, "max_points": count}
+    code, out = run_cli(tmp_path, "distance", config)
+    assert code == 1
+    want = f"error: 'grid.x1' samples between {lo} and {hi} overflow a float\n"
+    assert capsys.readouterr().err == want
+    assert not out.exists()
+
+
+def test_a_long_axis_is_generated_a_block_at_a_time(tmp_path):
+    # 1e7 x1 values as one array would take 80 MB; a refused second block stops the grid
+    config = {"grid": {"x1": {"min": 0.0, "max": 1.0, "count": 10**7}}}
+
+    def evaluate(points):
+        if points[0, 0] > 0.0:
+            raise errors.AccuracyError("stand-in refusal")
+        return (["0"] * len(points),)
+
+    out = tmp_path / "out.csv"
+    tracemalloc.start()
+    try:
+        with pytest.raises(errors.AccuracyError, match=r"^grid row 4096 "):
+            axes = cli.grid_from_config(config, ("x1",))
+            cli._write_grid(str(out), ("x1",), axes, ("v",), evaluate)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -761,7 +888,7 @@ def test_a_refused_block_is_bisected_to_its_first_bad_row(tmp_path):
 
     out = tmp_path / "out.csv"
     with pytest.raises(errors.AccuracyError) as exc:
-        cli._write_grid(str(out), ("x",), (np.arange(10_000.0),), ("v",), evaluate)
+        cli._write_grid(str(out), ("x",), ((0.0, 9999.0, 10_000),), ("v",), evaluate)
     assert str(exc.value) == "grid row 5000 (x=5000.0): stand-in overflow"
     # after the first block: the refused block, its bisection, and the bad row alone
     assert len(calls) - 1 <= math.log2(cli._BLOCK) + 2 and calls[-1] == 1
